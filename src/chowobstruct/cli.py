@@ -6,7 +6,8 @@ sorted, every integer is a decimal string (so 53-bit consumers never corrupt
 large torsion orders), and parsing plus re-serializing reproduces the bytes.
 
 Exit codes: 0 success, 1 domain error (infinite group, inapplicable
-assumption, unsupported dimension, ambient mismatch), 2 usage error.
+assumption, unsupported dimension, ambient mismatch, a result integer too
+long to print), 2 usage error.
 """
 
 from __future__ import annotations
@@ -43,12 +44,20 @@ from .obstruction import (
 )
 from .steenrod import sq2
 
+
+class OutputTooLargeError(Exception):
+    """Raised when a result holds an integer with more digits than str() may write."""
+
+
 DOMAIN_ERRORS = (
     InfiniteGroupError,
     InapplicableAssumptionError,
     DimensionUnsupportedError,
     AmbientMismatchError,
 )
+
+# Options whose value is a class literal, which may start with a minus sign.
+CLASS_OPTIONS = ("--c1", "--c2", "--a", "--b", "--class")
 
 # One-flag reproductions of the worked examples: ambient, multidegree,
 # assumption, and a default Chern pair for `obstruct`.
@@ -355,9 +364,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_classes(argv: list[str]) -> list[str]:
+    """Rewrite '--c1 -x1' as '--c1=-x1', since argparse reads '-x1' as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in CLASS_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_oversized_output(exc: ValueError) -> bool:
+    """Whether exc is the interpreter's digit limit, hit by str() of a result integer.
+
+    int() of too long an input string raises the same error, but only then does
+    the message give the length of the value ("value has N digits"); that case
+    stays a usage error.
+    """
+    message = str(exc)
+    return "integer string conversion" in message and "value has" not in message
+
+
+def _domain_error(args, exc: Exception) -> int:
+    if args.json:
+        sys.stdout.write(dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+    else:
+        sys.stderr.write(f"error: {exc}\n")
+    return 1
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_classes(argv))
     _apply_preset(args, parser)
     for required in ("ambient", "degree", "assumption", "c1", "c2"):
         if hasattr(args, required) and getattr(args, required) is None:
@@ -365,12 +404,10 @@ def run(argv: list[str]) -> int:
     try:
         result = args.func(args)
     except DOMAIN_ERRORS as exc:
-        if args.json:
-            sys.stdout.write(dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        else:
-            sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return _domain_error(args, exc)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
+        if isinstance(exc, ValueError) and _is_oversized_output(exc):
+            return _domain_error(args, OutputTooLargeError(f"result too large to print: {exc}"))
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     if args.json:

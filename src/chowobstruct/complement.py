@@ -25,9 +25,9 @@ provably equals CH^j(X).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gcd, lcm
 
 from .abelian import AbelianPresentation, GroupElement, bezout
@@ -143,18 +143,12 @@ class ExactnessCertificate:
 
 @dataclass(frozen=True)
 class ComplementModel:
-    """Ambient space plus hypersurface multidegree (and optional declared assumptions)."""
+    """Ambient space plus hypersurface multidegree."""
 
     ambient: AmbientSpace
     multidegree: tuple[int, ...]
-    assumptions: tuple[PushforwardAssumption, ...] = field(default=())
 
-    def __init__(
-        self,
-        ambient: AmbientSpace,
-        multidegree,
-        assumptions: tuple[PushforwardAssumption, ...] = (),
-    ):
+    def __init__(self, ambient: AmbientSpace, multidegree):
         degrees = tuple(int(d) for d in multidegree)
         if len(degrees) != ambient.k:
             raise ValueError(f"multidegree needs {ambient.k} components, got {len(degrees)}")
@@ -162,7 +156,6 @@ class ComplementModel:
             raise ValueError("multidegree components must be nonnegative")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "multidegree", degrees)
-        object.__setattr__(self, "assumptions", tuple(assumptions))
 
     @property
     def z_class(self) -> ChowClass:
@@ -231,8 +224,9 @@ def _certificate(model: ComplementModel, j: int, assumption: PushforwardAssumpti
     return ExactnessCertificate(degree=j, status=status, note=note if status != Status.EXACT else "")
 
 
-_group_cache: dict = {}
-_group_lock = threading.Lock()
+# Number of (model, degree, assumption) keys the group memo keeps; the least
+# recently used one is dropped beyond it, so a long run holds bounded memory.
+GROUP_MEMO_SIZE = 1024
 
 
 def complement_group(
@@ -241,27 +235,26 @@ def complement_group(
     """Present CH^j of the complement as (degree-j monomials) / (assumption subgroup).
 
     Returns the presentation together with the certificate describing how the
-    quotient relates to the true Chow group.  Results are memoized; models,
-    assumptions and presentations are all immutable, so the cache is shared
-    safely across threads.
+    quotient relates to the true Chow group.  Results are memoized in a bounded
+    least-recently-used memo; models, assumptions and presentations are all
+    immutable, so it is shared safely across threads.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    key = (model.ambient, model.multidegree, j, assumption)
-    with _group_lock:
-        hit = _group_cache.get(key)
-    if hit is not None:
-        return hit
+    return _build_group(model, j, assumption)
+
+
+@lru_cache(maxsize=GROUP_MEMO_SIZE)
+def _build_group(
+    model: ComplementModel, j: int, assumption: PushforwardAssumption
+) -> tuple[AbelianPresentation, ExactnessCertificate]:
     rows = _relation_rows(model, j, assumption)
     basis = model.ambient.monomial_basis(j)
     names = tuple(model.ambient.monomial_str(e) for e in basis)
     group = AbelianPresentation(names, IntegerMatrix(rows, cols=len(basis)))
-    cert = _certificate(model, j, assumption)
-    with _group_lock:
-        _group_cache[key] = (group, cert)
-    return group, cert
+    return group, _certificate(model, j, assumption)
 
 
 def restrict(

@@ -89,35 +89,6 @@ class IntegerMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination; exact for any size."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 

@@ -22,25 +22,14 @@ spaces of total dimension 4, where the criterion applies.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .abelian import AbelianPresentation, GroupElement, InfiniteGroupError
+from .abelian import GroupElement, InfiniteGroupError
 from .chow import AmbientMismatchError, ChowClass, class_str, cup, reduce_mod2
-from .complement import (
-    ComplementModel,
-    Direction,
-    ExactnessCertificate,
-    PushforwardAssumption,
-    complement_group,
-)
-from .intlinalg import IntegerMatrix, lattice_contains
+from .complement import ComplementModel, Direction, PushforwardAssumption, complement_group
+from .intlinalg import lattice_contains
 from .steenrod import sq2
-
-THREADS_ENV_VAR = "CHOW_OBSTRUCT_THREADS"
 
 UNVERIFIED_HYPOTHESES = (
     "the complement is treated as a smooth affine fourfold over an algebraically "
@@ -87,35 +76,29 @@ def theta(pair: ChernPair) -> ChowClass:
     return reduce_mod2(sq2(reduce_mod2(pair.c2)) + reduce_mod2(cup(pair.c1, pair.c2)))
 
 
-@lru_cache(maxsize=None)
-def _mod2_quotient(
-    model: ComplementModel, j: int, assumption: PushforwardAssumption
-) -> tuple[AbelianPresentation, ExactnessCertificate]:
-    group, cert = complement_group(model, j, assumption)
-    return group.tensor_mod2(), cert
+def sq2_descends(model: ComplementModel) -> bool:
+    """Check that Sq^2 maps the degree-2 divisor-multiple relations into the
+    degree-3 ones mod 2, so the obstruction of a coset does not depend on the
+    chosen lift of c2.
 
+    This always holds, so decide() does not run it.  The degree-2 relations are
+    z*m for the degree-1 monomials m.  Sq^2 is additive mod 2 and squares the
+    divisor z, so the Cartan formula on Chow groups mod 2 (Brosnan, Steenrod
+    operations in Chow theory, Trans. AMS 355 (2003)) gives
 
-@lru_cache(maxsize=None)
-def _squaring_descends(model: ComplementModel) -> bool:
-    """Check that Sq^2 maps degree-2 divisor-multiple relations into the degree-3
-    ones mod 2, so the obstruction of a coset does not depend on the chosen lift."""
+        Sq^2(z*m) = z^2*m + z*Sq^2(m) = z*(z*m + Sq^2(m)),
+
+    a multiple of z in degree 3, i.e. a degree-3 relation.  The function stays
+    as the executable check of that argument.
+    """
     naive = PushforwardAssumption.naive()
     deg2, _ = complement_group(model, 2, naive)
     deg3, _ = complement_group(model, 3, naive)
-    n3 = len(model.ambient.monomial_basis(3))
-    rows = list(deg3.relations.entries)
-    rows.extend(tuple(2 * int(i == j) for j in range(n3)) for i in range(n3))
-    lattice = IntegerMatrix(rows, cols=n3)
-    for rel in deg2.relations.entries:
-        image = sq2(ChowClass.from_coords(model.ambient, 2, rel))
-        if not lattice_contains(lattice, image.coords()):
-            return False
-    return True
-
-
-def sq2_descends(model: ComplementModel) -> bool:
-    """Public wrapper for the lift-independence check of Sq^2 on this model."""
-    return _squaring_descends(model)
+    lattice = deg3.tensor_mod2().relations
+    return all(
+        lattice_contains(lattice, sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords())
+        for rel in deg2.relations.entries
+    )
 
 
 def decide(
@@ -137,18 +120,14 @@ def decide(
         )
     if pair.c1.ambient != model.ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
-    if not _squaring_descends(model):
-        raise AssertionError("squaring does not descend for this model")
 
     th = theta(pair)
     coords = th.coords()
-    naive = PushforwardAssumption.naive()
-    naive_group, naive_cert = _mod2_quotient(model, 3, naive)
-    naive_image = naive_group.element(coords)
-    naive_zero = naive_image.is_zero()
+    naive_group, naive_cert = complement_group(model, 3, PushforwardAssumption.naive())
+    naive_zero = naive_group.tensor_mod2().element(coords).is_zero()
 
-    assm_group, assm_cert = _mod2_quotient(model, 3, assumption)
-    assm_image = assm_group.element(coords)
+    assm_group, assm_cert = complement_group(model, 3, assumption)
+    assm_image = assm_group.tensor_mod2().element(coords)
     assm_zero = assm_image.is_zero()
 
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)
@@ -209,25 +188,16 @@ class ClassifyRow:
     verdict: Verdict
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    return max(1, threads)
-
-
 def classify_all(
-    model: ComplementModel,
-    assumption: PushforwardAssumption | None = None,
-    threads: int | None = None,
+    model: ComplementModel, assumption: PushforwardAssumption | None = None
 ) -> list[ClassifyRow]:
     """One verdict per element of CH^1(X) x CH^2(X).
 
     Cosets are enumerated through the divisor-multiple quotients in degrees 1
     and 2 (the declared assumption only ever concerns degree 3) and each coset
     is lifted to the ambient space through its smallest nonnegative
-    representative.  Row order is the enumeration order, so output is
-    deterministic; worker threads, capped by CHOW_OBSTRUCT_THREADS, only split
-    the per-row work.
+    representative.  Rows run over CH^2 inside CH^1, both in enumeration
+    order, so output is deterministic.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -239,20 +209,13 @@ def classify_all(
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"
         )
 
-    lifts = []
+    lifts2 = [ChowClass.from_coords(model.ambient, 2, e2.coords) for e2 in g2.elements()]
+    labels2 = [class_str(lift2) for lift2 in lifts2]
+    rows = []
     for e1 in g1.elements():
         lift1 = ChowClass.from_coords(model.ambient, 1, e1.coords)
-        for e2 in g2.elements():
-            lift2 = ChowClass.from_coords(model.ambient, 2, e2.coords)
-            lifts.append((lift1, lift2))
-
-    def row(pair_lifts: tuple[ChowClass, ChowClass]) -> ClassifyRow:
-        lift1, lift2 = pair_lifts
-        report = decide(model, ChernPair(lift1, lift2), assumption)
-        return ClassifyRow(c1=class_str(lift1), c2=class_str(lift2), verdict=report.verdict)
-
-    nthreads = _thread_count(threads)
-    if nthreads == 1:
-        return [row(p) for p in lifts]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        return list(pool.map(row, lifts))
+        label1 = class_str(lift1)
+        for lift2, label2 in zip(lifts2, labels2):
+            report = decide(model, ChernPair(lift1, lift2), assumption)
+            rows.append(ClassifyRow(c1=label1, c2=label2, verdict=report.verdict))
+    return rows

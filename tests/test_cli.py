@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -198,9 +199,34 @@ def test_custom_assumption_file(tmp_path, capsys):
     assert data["verdict"] == "NOT_ALGEBRAIZABLE"
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CHOW_OBSTRUCT_THREADS", "3")
-    rows_parallel, out_parallel = run_json(capsys, "classify", "--example", "bidegree34")
-    monkeypatch.setenv("CHOW_OBSTRUCT_THREADS", "1")
-    rows_serial, out_serial = run_json(capsys, "classify", "--example", "bidegree34")
-    assert out_parallel == out_serial
+def test_oversized_output_is_domain_error(capsys):
+    # both entries fit under the limit; their product, the invariant factor, does not
+    relations = f"[[{3 ** 800},0],[0,{2 ** 1300 + 1}]]"
+    too_long = f"[[{10 ** 700}]]"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, "group", "--json", "--relations", relations)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
+        code, out, err = run_cli(capsys, "group", "--relations", relations)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        # too long an input stays a usage error
+        code, _, err = run_cli(capsys, "group", "--relations", too_long)
+        assert code == 2 and err.startswith("usage error: ")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_obstruct_accepts_leading_minus(capsys):
+    args = ("obstruct", "--ambient", "4", "--degree", "5", "--c2", "x1^2", "--assumption", "naive")
+    code, out, err = run_cli(capsys, *args, "--c1", "-x1")
+    assert code == 0, err
+    assert run_cli(capsys, *args, "--c1=-x1") == (code, out, err)
+
+
+def test_cup_accepts_leading_minus(capsys):
+    code, out, err = run_cli(capsys, "cup", "--ambient", "4", "--a", "-x1", "--b", "x1")
+    assert code == 0, err
+    assert out == "-x1^2\n"
+    assert run_cli(capsys, "cup", "--ambient", "4", "--a=-x1", "--b", "x1") == (code, out, err)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -189,9 +190,10 @@ def test_decide_lift_independence_totaro_even_degree():
 
 
 def test_sq2_descends_on_models():
-    assert sq2_descends(ComplementModel(P1xP3, (3, 4)))
-    assert sq2_descends(ComplementModel(P4, (48,)))
-    assert sq2_descends(ComplementModel(AmbientSpace((2, 2)), (5, 7)))
+    # every ambient of total dimension 4, every degree from 1 to 3 in each factor
+    for dims in ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)):
+        for degrees in itertools.product(range(1, 4), repeat=len(dims)):
+            assert sq2_descends(ComplementModel(AmbientSpace(dims), degrees)), (dims, degrees)
 
 
 def test_dimension_guard():
@@ -245,11 +247,15 @@ def test_classify_infinite_group_guard():
         classify_all(model, NAIVE)
 
 
-def test_classify_threads_deterministic():
+def test_classify_row_order():
     model = ComplementModel(P1xP3, (3, 4))
-    serial = classify_all(model, EVEN, threads=1)
-    parallel = classify_all(model, EVEN, threads=4)
-    assert serial == parallel
+    rows = classify_all(model, EVEN)
+    g1, _ = complement_group(model, 1, NAIVE)
+    g2, _ = complement_group(model, 2, NAIVE)
+    labels1 = [class_str(ChowClass.from_coords(P1xP3, 1, e.coords)) for e in g1.elements()]
+    labels2 = [class_str(ChowClass.from_coords(P1xP3, 2, e.coords)) for e in g2.elements()]
+    assert [(r.c1, r.c2) for r in rows] == [(a, b) for a in labels1 for b in labels2]
+    assert (rows[0].c1, rows[0].c2) == ("0", "0")
 
 
 def test_classify_lifts_are_smallest_representatives():
