@@ -46,7 +46,7 @@ from .obstruction import (
     sq2_descends,
     theta,
 )
-from .steenrod import SQ1_JUSTIFICATION, sq1, sq2, sq2_monomial
+from .steenrod import sq2, sq2_monomial
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "IntegerMatrix",
     "ObstructionReport",
     "PushforwardAssumption",
-    "SQ1_JUSTIFICATION",
     "SnfDecomposition",
     "Status",
     "Verdict",
@@ -88,7 +87,6 @@ __all__ = [
     "reduce_mod2",
     "restrict",
     "smith_normal_form",
-    "sq1",
     "sq2",
     "sq2_descends",
     "sq2_monomial",

@@ -135,7 +135,8 @@ class ChowClass:
 
     def coords(self) -> tuple[int, ...]:
         """Coordinates in the monomial basis of this degree."""
-        return tuple(self.coefficient(e) for e in self.ambient.monomial_basis(self.degree))
+        coeffs = self.coeffs
+        return tuple(coeffs.get(e, 0) for e in self.ambient.monomial_basis(self.degree))
 
     def _check_ambient(self, other: "ChowClass"):
         if not isinstance(other, ChowClass) or other.ambient != self.ambient:

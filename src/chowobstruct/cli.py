@@ -365,10 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_signed_classes(argv: list[str]) -> list[str]:
-    """Rewrite '--c1 -x1' as '--c1=-x1', since argparse reads '-x1' as an option."""
+    """Rewrite '--c1 -x1' as '--c1=-x1', since argparse reads '-x1' as an option;
+    an abbreviation ('--clas -x1') is rewritten too, for argparse to resolve or reject."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in CLASS_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+        named = out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in CLASS_OPTIONS)
+        if named and arg.startswith("-") and not arg.startswith("--"):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -187,8 +187,7 @@ def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...
         return tuple(
             tuple(model.multidegree[i] * int(c == i) for c in range(k)) for i in range(k)
         )
-    mat = divisor_multiplication_matrix(ambient, model.z_class, j)
-    return tuple(tuple(mat.entry(r, c) for r in range(mat.rows)) for c in range(mat.cols))
+    return divisor_multiplication_matrix(ambient, model.z_class, j).transpose().entries
 
 
 def _relation_rows(

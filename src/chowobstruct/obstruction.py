@@ -28,7 +28,6 @@ from enum import Enum
 from .abelian import GroupElement, InfiniteGroupError
 from .chow import AmbientMismatchError, ChowClass, class_str, cup, reduce_mod2
 from .complement import ComplementModel, Direction, PushforwardAssumption, complement_group
-from .intlinalg import lattice_contains
 from .steenrod import sq2
 
 UNVERIFIED_HYPOTHESES = (
@@ -73,7 +72,7 @@ class ObstructionReport:
 
 def theta(pair: ChernPair) -> ChowClass:
     """Sq^2(c2) + c1 * c2 as a degree-3 mod-2 class on the ambient space."""
-    return reduce_mod2(sq2(reduce_mod2(pair.c2)) + reduce_mod2(cup(pair.c1, pair.c2)))
+    return reduce_mod2(sq2(pair.c2) + cup(pair.c1, pair.c2))
 
 
 def sq2_descends(model: ComplementModel) -> bool:
@@ -94,9 +93,9 @@ def sq2_descends(model: ComplementModel) -> bool:
     naive = PushforwardAssumption.naive()
     deg2, _ = complement_group(model, 2, naive)
     deg3, _ = complement_group(model, 3, naive)
-    lattice = deg3.tensor_mod2().relations
+    quotient = deg3.tensor_mod2()
     return all(
-        lattice_contains(lattice, sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords())
+        quotient.element(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords()).is_zero()
         for rel in deg2.relations.entries
     )
 

@@ -3,8 +3,9 @@
 On these rings Sq^2 is determined by three facts: it is additive mod 2, it
 squares degree-1 classes, and it satisfies the Cartan product rule
 Sq^2(ab) = Sq^2(a) b + Sq^1(a) Sq^1(b) + a Sq^2(b).  The middle term never
-contributes because Sq^1 vanishes identically here (see SQ1_JUSTIFICATION), so
-on a monomial x1^{a_1} ... xk^{a_k} the operation comes out as
+contributes because Sq^1 vanishes identically: it maps CH^j/2 = H^{2j,j}(W, Z/2)
+into H^{2j+1,j}(W, Z/2), which is zero for every smooth scheme W.  So on a
+monomial x1^{a_1} ... xk^{a_k} the operation comes out as
 
     sum_i a_i * x_i^{a_i + 1} * prod_{j != i} x_j^{a_j}   (mod 2),
 
@@ -16,16 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .chow import AmbientSpace, ChowClass, reduce_mod2
-
-# Sq^1 is the zero operation on every class handled here: the mod-2 motivic
-# cohomology group it would land in vanishes for all smooth schemes.
-SQ1_JUSTIFICATION = "H^{3,1}(W, Z) = 0 for every smooth scheme W"
-
-
-def sq1(c: ChowClass) -> ChowClass:
-    """Sq^1, identically zero on these classes (degree still shifts by one)."""
-    return ChowClass.zero(c.ambient, c.degree + 1)
+from .chow import AmbientSpace, ChowClass
 
 
 def sq2_monomial(ambient: AmbientSpace, exps: Sequence[int]) -> ChowClass:
@@ -41,14 +33,15 @@ def sq2_monomial(ambient: AmbientSpace, exps: Sequence[int]) -> ChowClass:
         bumped = exps[:i] + (a + 1,) + exps[i + 1:]
         if not ambient.in_bounds(bumped):
             continue
-        coeffs[bumped] = (coeffs.get(bumped, 0) + 1) % 2
+        coeffs[bumped] = 1  # only index i bumps to this monomial
     return ChowClass(ambient, degree + 1, coeffs)
 
 
 def sq2(c: ChowClass) -> ChowClass:
     """Additive extension of sq2_monomial; input coefficients are read mod 2."""
-    out = ChowClass.zero(c.ambient, c.degree + 1)
-    for exps, coeff in reduce_mod2(c).items():
+    coeffs: dict[tuple[int, ...], int] = {}
+    for exps, coeff in c.items():
         if coeff % 2:
-            out = out + sq2_monomial(c.ambient, exps)
-    return reduce_mod2(out)
+            for bumped, _ in sq2_monomial(c.ambient, exps).items():
+                coeffs[bumped] = coeffs.get(bumped, 0) ^ 1
+    return ChowClass(c.ambient, c.degree + 1, coeffs)

@@ -230,3 +230,17 @@ def test_cup_accepts_leading_minus(capsys):
     assert code == 0, err
     assert out == "-x1^2\n"
     assert run_cli(capsys, "cup", "--ambient", "4", "--a=-x1", "--b", "x1") == (code, out, err)
+
+
+def test_abbreviated_class_option_accepts_leading_minus(capsys):
+    for option in ("--class", "--clas", "--cl"):
+        code, out, err = run_cli(capsys, "sq2", "--ambient", "4", option, "-x1")
+        assert (code, out) == (0, "x1^2\n"), (option, err)
+
+
+def test_ambiguous_class_option_stays_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruct", "--ambient", "4", "--degree", "5", "--c2", "x1^2",
+              "--assumption", "naive", "--c", "-x1"])
+    assert exc.value.code == 2
+    assert "ambiguous option" in capsys.readouterr().err

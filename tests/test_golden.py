@@ -1,0 +1,94 @@
+"""Byte-for-byte pins of CLI output.
+
+Each command's stdout is hashed with sha256 and compared, together with its
+exit code, against values recorded before the mod-2 obstruction path was
+rewritten.  A refactor that changes any verdict, justification, class string,
+JSON key order or row order changes a hash here.
+
+To re-record after an intended output change, print
+``(exit_code, sha256(stdout))`` for each entry of ``COMMANDS`` and explain the
+change in CHANGES.md.
+"""
+
+import hashlib
+
+from chowobstruct.cli import main
+
+_BASE_COMMANDS = (
+    ("obstruct", "--example", "bidegree34"),
+    ("obstruct", "--example", "totaro48"),
+    ("classify", "--example", "bidegree34"),
+    ("classify", "--example", "totaro48"),
+    *(
+        ("complement", "--ambient", ambient, "--degree", degree, "--j", str(j))
+        for ambient, degree in (("1,3", "3,4"), ("4", "48"))
+        for j in range(1, 5)
+    ),
+    ("snf", "--matrix", "[[4,3],[0,4]]"),
+    ("cup", "--ambient", "1,3", "--a", "3*x1 + 4*x2", "--b", "x2"),
+    ("sq2", "--ambient", "1,3", "--class", "x1*x2"),
+    ("obstruct", "--ambient", "2,2", "--degree", "2,3", "--c1", "x2", "--c2", "x1*x2 - 3*x2^2",
+     "--assumption", "naive"),
+    ("obstruct", "--ambient", "1,1,2", "--degree", "1,2,3", "--c1", "x1 + x3", "--c2", "x3^2 + x1*x2",
+     "--assumption", "naive"),
+    ("obstruct", "--ambient", "1,1,1,1", "--degree", "1,1,1,1", "--c1", "-x2", "--c2", "x1*x2 + x3*x4",
+     "--assumption", "naive"),
+)
+
+# Every command in text and in --json.
+COMMANDS = tuple(cmd + extra for cmd in _BASE_COMMANDS for extra in ((), ("--json",)))
+
+# (exit code, sha256 of stdout), in COMMANDS order.
+GOLDEN = (
+    (0, "cb973b4932661bcf1dcea6405ac82fb12719ef0605c0cd5dbfa839efab13da85"),
+    (0, "59490eb280832b0cd86da4bd1bc3f3eb7762835811ae919e12ca1d823b85f0c4"),
+    (0, "8639bce700621ccb1814398dd37c9b12a9074c6583e9a3c0e8316c8e353bf520"),
+    (0, "4ee6a4b5b05318a1262ebe3257f60d7822ac84e1d5611da022da76a237c3fded"),
+    (0, "b200e84aa198ba88c6c38960d3abf64b25445a65ee969ba609492bf786f26ad9"),
+    (0, "cd62251e751ec626e0733087ea3aa76846e626526d4b15bd9cca0722ac9cba8b"),
+    (0, "affd376e0dd34f8ff0f32c42bab1cc45397e678ded8a490e2e8a280db3d162f5"),
+    (0, "0b58dafe8e662aed9f824418265cd482d9c23dcb7be3cd48081470c8b3026f3b"),
+    (0, "0b0da83002b650931ea8ff8b56ea08405af7a6cb79898bd010327c5e7e963fb7"),
+    (0, "9c535f85ef4b77e4960c4317d654c0817e1db64900fac181008e5ae19f595178"),
+    (0, "3021ffd0e4d146fb9ad6979e5decfbb2798a10b8e90ed63ddff887f401a80875"),
+    (0, "25cb6431c247c07ebcabdf9b204ecfbe223495906394741b1ba3d611a4d572aa"),
+    (0, "8a63757f4b5cc023e1ea19a0bcfdca722e50231e7944ff34ba0ce6d57370d619"),
+    (0, "324573a77e2a1b9755263f9054bdfe502a6200c70447797257685c4a4f877a02"),
+    (0, "f78fa561fa7baae0153fdfaec267f300f41e291d7c53a894c8338bcfe593b59d"),
+    (0, "138bd27d4891b6b2a2a9858f5d4c808b122d1ae731d2a15b05030d519d26eece"),
+    (0, "04eff9516494daecc6183e2deeec74baf0cdcbafb32da6b38e82f389160c599e"),
+    (0, "a11b24a183a3c5701f7042480c8fca33521cbddaf7fb359ce75b497d4d358e4d"),
+    (0, "0fc67970577df103a1411b9335aa33301a46fc09fc32260d3224d698900dc902"),
+    (0, "0643606640808b9193db2231b4592b12f73cdacc9960f8c813556c72e5a3564b"),
+    (0, "e703b21a64be7f63855c8aea145aa64cb69f4c7400480867aa7d9f272e0bfd12"),
+    (0, "ef7d623f9fc4b5e3827be18f42476e4c895f1d1251e7afd4899b0063a1917177"),
+    (0, "757c7d7b8ab96c1bdbcecb150dd01190a3be4fa2968c6cb67ac6796c7ce9ee43"),
+    (0, "7fd05e52e15a30ee4feb56a70e37744b4f797ccd15a901697f3f036dada6f84f"),
+    (0, "80b8a9f3ee1811dcaadc1f8e9ca1c8eb0b236447beb3b980c7647feb8ae5b6e0"),
+    (0, "0417d59aa29ab83ad65bd3e8a25241a30cbc9d79db91a1046524f9ad5eb30d76"),
+    (0, "57d42a0ce8453e0c8b36de052ef10a16190d3b6e1f9cf54bcdf5887c493abb0d"),
+    (0, "abc7fa2f170475990cdfc591dcb945af94c00363490f34c182fd7f950bace2d8"),
+    (0, "e503d4ab61b0192042ac4f9e455d2999aa86a7f644e9d256531207d851d91e50"),
+    (0, "cd9f5a5cbca1ab0b3a5f33a7ba050a5a668e1b5bcbc6c2963c302d211714f903"),
+    (0, "9f87e0390606efc85ba7a41fc967780ca22399cca717236ea9819a6bee3f795e"),
+    (0, "7319e80e444b6f7eae8fe75f408975a121b6b3e8c97311df4377a006948f2dc6"),
+    (0, "6997c112d71ec149a9bf3ef9f0b9b4d276f72cc567a4e9bfda0994d973cda029"),
+    (0, "0f9de4fd989f2d7e25a40490482625cb9653da6fed8ec3dd7205b41c4a603fde"),
+    (0, "62cc851e469db0fe793ef4284d9df90a2e464f297a992a6b8d765f1cde69166e"),
+    (0, "f25e5fe3bdc51c575823b15ef8c5b61f0455f3d0999610a710faeab61f159363"),
+)
+
+
+def test_golden_table_matches_commands():
+    assert len(GOLDEN) == len(COMMANDS)
+
+
+def test_cli_output_is_pinned(capsys):
+    mismatches = []
+    for argv, expected in zip(COMMANDS, GOLDEN):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        got = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
+        if got != expected:
+            mismatches.append(" ".join(argv))
+    assert not mismatches, mismatches

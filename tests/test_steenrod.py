@@ -1,15 +1,16 @@
 import random
 
 from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class, reduce_mod2
-from chowobstruct.steenrod import SQ1_JUSTIFICATION, sq1, sq2, sq2_monomial
+from chowobstruct.obstruction import ChernPair, theta
+from chowobstruct.steenrod import sq2, sq2_monomial
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
 
 
-def random_mod2_class(rng, ambient, degree):
+def random_class(rng, ambient, degree, low=0, high=1):
     basis = ambient.monomial_basis(degree)
-    return ChowClass(ambient, degree, {e: rng.randint(0, 1) for e in basis})
+    return ChowClass(ambient, degree, {e: rng.randint(low, high) for e in basis})
 
 
 def test_sq2_of_xi_tau():
@@ -41,7 +42,7 @@ def test_sq2_kills_multiples_of_xi_squared_in_p4():
 def test_sq2_degree_shift():
     rng = random.Random(73)
     for degree in range(0, 4):
-        c = random_mod2_class(rng, P1xP3, degree)
+        c = random_class(rng, P1xP3, degree)
         assert sq2(c).degree == degree + 1
 
 
@@ -56,8 +57,8 @@ def test_sq2_additivity_random():
     rng = random.Random(79)
     for _ in range(120):
         degree = rng.randint(0, 3)
-        a = random_mod2_class(rng, P1xP3, degree)
-        b = random_mod2_class(rng, P1xP3, degree)
+        a = random_class(rng, P1xP3, degree)
+        b = random_class(rng, P1xP3, degree)
         assert sq2(reduce_mod2(a + b)) == reduce_mod2(sq2(a) + sq2(b))
 
 
@@ -67,17 +68,30 @@ def test_sq2_cartan_rule_random():
         for _ in range(60):
             da = rng.randint(0, 2)
             db = rng.randint(0, 2)
-            a = random_mod2_class(rng, ambient, da)
-            b = random_mod2_class(rng, ambient, db)
+            a = random_class(rng, ambient, da)
+            b = random_class(rng, ambient, db)
             left = sq2(cup(a, b))
             right = reduce_mod2(cup(sq2(a), b) + cup(a, sq2(b)))
             assert left == right
 
 
-def test_sq1_is_constant_zero():
-    assert SQ1_JUSTIFICATION
-    rng = random.Random(89)
-    for degree in range(0, 4):
-        c = random_mod2_class(rng, P1xP3, degree)
-        out = sq1(c)
-        assert out.is_zero() and out.degree == degree + 1
+# Every ambient of total dimension 4, where theta is defined.
+DIMENSION_4 = tuple(
+    AmbientSpace(dims) for dims in ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1))
+)
+
+
+def test_sq2_and_theta_read_integer_input_mod2():
+    rng = random.Random(97)
+    for ambient in DIMENSION_4:
+        for _ in range(40):
+            c = random_class(rng, ambient, rng.randint(0, 3), -5, 5)
+            out = sq2(c)
+            assert out == sq2(reduce_mod2(c))
+            assert all(coeff == 1 for _, coeff in out.items())
+
+            c1 = random_class(rng, ambient, 1, -5, 5)
+            c2 = random_class(rng, ambient, 2, -5, 5)
+            th = theta(ChernPair(c1, c2))
+            assert th == theta(ChernPair(reduce_mod2(c1), reduce_mod2(c2)))
+            assert all(coeff == 1 for _, coeff in th.items())
