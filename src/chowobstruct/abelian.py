@@ -49,7 +49,7 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
 class AbelianPresentation:
     """Abelian group given by generator names and a relation matrix (rows are relations)."""
 
-    __slots__ = ("generator_names", "relations", "_snf", "_hnf", "_factors", "_mod2")
+    __slots__ = ("generator_names", "relations", "_snf", "_hnf", "_mod2")
 
     def __init__(self, generator_names: Sequence[str], relations: IntegerMatrix | Iterable[Iterable[int]]):
         names = tuple(str(s) for s in generator_names)
@@ -63,7 +63,6 @@ class AbelianPresentation:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_snf", None)
         object.__setattr__(self, "_hnf", None)
-        object.__setattr__(self, "_factors", None)
         object.__setattr__(self, "_mod2", None)
 
     def __setattr__(self, name, value):
@@ -71,9 +70,16 @@ class AbelianPresentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AbelianPresentation":
-        """Build from {"generators": [...], "relations": [[...], ...]} (entries int or str)."""
-        gens = obj["generators"]
+        """Build from {"generators": [...], "relations": [[...], ...]} (entries int or str);
+        a payload of another shape is a ValueError naming the key."""
+        if not isinstance(obj, dict):
+            raise ValueError("presentation must be a JSON object")
+        gens = obj.get("generators")
+        if not isinstance(gens, list):
+            raise ValueError('presentation key "generators" must be a list')
         rows = obj.get("relations", [])
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError('presentation key "relations" must be a list of lists')
         return cls(gens, IntegerMatrix(rows, cols=len(gens)))
 
     @property
@@ -87,8 +93,7 @@ class AbelianPresentation:
 
     def hnf(self) -> IntegerMatrix:
         if self._hnf is None:
-            h, _ = hermite_normal_form(self.relations)
-            object.__setattr__(self, "_hnf", h)
+            object.__setattr__(self, "_hnf", hermite_normal_form(self.relations))
         return self._hnf
 
     def invariant_factors(self) -> tuple[int, ...]:
@@ -96,11 +101,8 @@ class AbelianPresentation:
 
         The result is in divisibility order with zeros (free ranks) trailing.
         """
-        if self._factors is None:
-            diag = self.snf().diagonal
-            factors = tuple(d for d in diag if d != 1) + (0,) * (self.ngens - len(diag))
-            object.__setattr__(self, "_factors", factors)
-        return self._factors
+        diag = self.snf().diagonal
+        return tuple(d for d in diag if d != 1) + (0,) * (self.ngens - len(diag))
 
     def is_finite(self) -> bool:
         return 0 not in self.invariant_factors()

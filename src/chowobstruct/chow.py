@@ -200,23 +200,27 @@ def reduce_mod2(c: ChowClass) -> ChowClass:
     return ChowClass(c.ambient, c.degree, {e: v % 2 for e, v in c.items()})
 
 
-def divisor_multiplication_matrix(ambient: AmbientSpace, z: ChowClass, j: int) -> IntegerMatrix:
-    """Matrix of cup-with-z from the degree j-1 basis to the degree j basis.
-
-    Rows are indexed by degree-j monomials, columns by degree-(j-1) monomials,
-    both in basis order; column c holds the coordinates of z * (c-th monomial).
-    """
+def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of z * m in the degree-j basis, one tuple per degree-(j-1) basis monomial m."""
     if z.ambient != ambient:
         raise AmbientMismatchError("divisor class lives in a different ambient space")
     if z.degree != 1:
         raise ValueError("divisor class must have degree 1")
     if j < 1:
         raise ValueError("j must be a positive integer")
-    basis_from = ambient.monomial_basis(j - 1)
-    basis_to = ambient.monomial_basis(j)
-    columns = [cup(z, ChowClass.monomial(ambient, e)).coords() for e in basis_from]
-    rows = [[columns[c][r] for c in range(len(basis_from))] for r in range(len(basis_to))]
-    return IntegerMatrix(rows, cols=len(basis_from))
+    return tuple(
+        cup(z, ChowClass.monomial(ambient, e)).coords() for e in ambient.monomial_basis(j - 1)
+    )
+
+
+def divisor_multiplication_matrix(ambient: AmbientSpace, z: ChowClass, j: int) -> IntegerMatrix:
+    """Matrix of cup-with-z from the degree j-1 basis to the degree j basis.
+
+    Rows are indexed by degree-j monomials, columns by degree-(j-1) monomials,
+    both in basis order; column c holds the coordinates of z * (c-th monomial).
+    """
+    columns = _divisor_columns(ambient, z, j)
+    return IntegerMatrix(zip(*columns), cols=len(columns))
 
 
 _FACTOR_RE = re.compile(r"(x(\d+)|xi|tau)(?:\^(\d+))?$")

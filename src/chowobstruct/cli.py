@@ -59,6 +59,9 @@ DOMAIN_ERRORS = (
 # Options whose value is a class literal, which may start with a minus sign.
 CLASS_OPTIONS = ("--c1", "--c2", "--a", "--b", "--class")
 
+# The keys of a custom:<file> assumption and the JSON types they take.
+CUSTOM_ASSUMPTION_KEYS = {"ambient": str, "degree": (int, str), "direction": str, "generators": list}
+
 # One-flag reproductions of the worked examples: ambient, multidegree,
 # assumption, and a default Chern pair for `obstruct`.
 PRESETS = {
@@ -115,6 +118,13 @@ def _parse_assumption(text: str) -> PushforwardAssumption:
         path = text.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"assumption file {path} must hold a JSON object")
+        for key, kind in CUSTOM_ASSUMPTION_KEYS.items():
+            if not isinstance(payload.get(key), kind):
+                raise ValueError(f"assumption file {path}: {key!r} is missing or malformed")
+        if not all(isinstance(g, str) for g in payload["generators"]):
+            raise ValueError(f"assumption file {path}: 'generators' must hold class literals")
         ambient = _parse_ambient(payload["ambient"])
         degree = int(payload["degree"])
         gens = tuple(parse_class(ambient, g, degree=degree) for g in payload["generators"])

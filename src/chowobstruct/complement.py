@@ -35,7 +35,7 @@ from .chow import (
     AmbientSpace,
     AmbientMismatchError,
     ChowClass,
-    divisor_multiplication_matrix,
+    _divisor_columns,
     parse_class,
 )
 from .intlinalg import IntegerMatrix
@@ -177,7 +177,8 @@ def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...
     In degree 1 the quotient is presented with one relation d_i * x_i per
     factor, so that CH^1 splits as the direct sum of Z/d_i with x_i generating
     the i-th summand; from degree 2 on the generators are z * (each degree j-1
-    basis monomial), i.e. the columns of the divisor multiplication matrix.
+    basis monomial), the columns of the divisor multiplication matrix, taken
+    directly as relation rows.
     """
     ambient = model.ambient
     if j == 0:
@@ -187,7 +188,7 @@ def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...
         return tuple(
             tuple(model.multidegree[i] * int(c == i) for c in range(k)) for i in range(k)
         )
-    return divisor_multiplication_matrix(ambient, model.z_class, j).transpose().entries
+    return _divisor_columns(ambient, model.z_class, j)
 
 
 def _relation_rows(

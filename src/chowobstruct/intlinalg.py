@@ -69,9 +69,6 @@ class IntegerMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "IntegerMatrix":
         if self.rows == 0:
             return IntegerMatrix(([] for _ in range(self.cols)), cols=0)
@@ -221,8 +218,8 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
     )
 
 
-def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Row-style Hermite normal form: return (h, u) with u @ a == h, det(u) = +-1.
+def hermite_normal_form(a: IntegerMatrix) -> IntegerMatrix:
+    """Row-style Hermite normal form h of a, reached by unimodular row operations.
 
     h is in row-echelon form with positive pivots and every entry above a pivot
     reduced into [0, pivot).  The rows of h span the same lattice as the rows
@@ -231,7 +228,6 @@ def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     """
     m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
 
     r = 0
     for j in range(n):
@@ -246,7 +242,6 @@ def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
             continue
         if piv != r:
             h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
         for i in range(r + 1, m):
             if h[i][j] == 0:
                 continue
@@ -258,21 +253,15 @@ def hermite_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
                 [x * hr + y * hi for hr, hi in zip(h[r], h[i])],
                 [-q * hr + p * hi for hr, hi in zip(h[r], h[i])],
             )
-            u[r], u[i] = (
-                [x * ur + y * ui for ur, ui in zip(u[r], u[i])],
-                [-q * ur + p * ui for ur, ui in zip(u[r], u[i])],
-            )
         if h[r][j] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][j] // h[r][j]
             if q:
                 h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
-                u[i] = [ui - q * ur for ui, ur in zip(u[i], u[r])]
         r += 1
 
-    return IntegerMatrix(h, cols=n), IntegerMatrix(u, cols=m)
+    return IntegerMatrix(h, cols=n)
 
 
 def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
@@ -298,5 +287,4 @@ def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
 
 def lattice_contains(basis: IntegerMatrix, vector: Sequence[int]) -> bool:
     """Decide exactly whether a vector lies in the integer row-span of basis."""
-    h, _ = hermite_normal_form(basis)
-    return not any(hermite_reduce(h, vector))
+    return not any(hermite_reduce(hermite_normal_form(basis), vector))

@@ -22,26 +22,17 @@ from .chow import AmbientSpace, ChowClass
 
 def sq2_monomial(ambient: AmbientSpace, exps: Sequence[int]) -> ChowClass:
     """Sq^2 of a single monomial, as a mod-2 class of one higher degree."""
-    exps = tuple(int(e) for e in exps)
-    if len(exps) != ambient.k or not ambient.in_bounds(exps):
-        raise ValueError(f"monomial {exps} is not valid in {ambient}")
-    degree = sum(exps)
-    coeffs: dict[tuple[int, ...], int] = {}
-    for i, a in enumerate(exps):
-        if a % 2 == 0:
-            continue
-        bumped = exps[:i] + (a + 1,) + exps[i + 1:]
-        if not ambient.in_bounds(bumped):
-            continue
-        coeffs[bumped] = 1  # only index i bumps to this monomial
-    return ChowClass(ambient, degree + 1, coeffs)
+    return sq2(ChowClass.monomial(ambient, exps))
 
 
 def sq2(c: ChowClass) -> ChowClass:
-    """Additive extension of sq2_monomial; input coefficients are read mod 2."""
+    """Sq^2 by the monomial rule of the module docstring; coefficients are read mod 2."""
+    dims = c.ambient.factor_dims
     coeffs: dict[tuple[int, ...], int] = {}
     for exps, coeff in c.items():
         if coeff % 2:
-            for bumped, _ in sq2_monomial(c.ambient, exps).items():
-                coeffs[bumped] = coeffs.get(bumped, 0) ^ 1
+            for i, a in enumerate(exps):
+                if a % 2 and a < dims[i]:
+                    bumped = exps[:i] + (a + 1,) + exps[i + 1:]
+                    coeffs[bumped] = coeffs.get(bumped, 0) ^ 1
     return ChowClass(c.ambient, c.degree + 1, coeffs)

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,52 @@ def test_custom_assumption_file(tmp_path, capsys):
         "--c1", "0", "--c2", "x1*x2", "--assumption", f"custom:{path}",
     )
     assert data["verdict"] == "NOT_ALGEBRAIZABLE"
+
+
+CUSTOM_SPEC = {"ambient": "1,3", "degree": 3, "direction": "contains_image", "generators": ["x2^3"]}
+
+
+@pytest.mark.parametrize(
+    "presentation, custom",
+    [
+        ("[1]", None),
+        ('{"relations": [[2]]}', None),
+        ('{"generators": ["a"], "relations": 5}', None),
+        (None, {k: v for k, v in CUSTOM_SPEC.items() if k != "direction"}),
+        (None, [CUSTOM_SPEC]),
+        (None, dict(CUSTOM_SPEC, generators=["x2^3", 5])),
+    ],
+    ids=["not-an-object", "no-generators", "relations-not-a-list",
+         "custom-no-direction", "custom-list", "custom-number-generator"],
+)
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, presentation, custom):
+    if presentation is not None:
+        argv = ["group", "--presentation", presentation]
+    else:
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(custom))
+        argv = ["obstruct", "--ambient", "1,3", "--degree", "3,4", "--c1", "0",
+                "--c2", "x1*x2", "--assumption", f"custom:{path}"]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The chow-obstruct lines of the README's first sh block under "## Command line"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("chow-obstruct ")]
+
+
+def test_readme_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out, (argv, err)
 
 
 def test_oversized_output_is_domain_error(capsys):

@@ -2,8 +2,10 @@
 
 Each command's stdout is hashed with sha256 and compared, together with its
 exit code, against values recorded before the mod-2 obstruction path was
-rewritten.  A refactor that changes any verdict, justification, class string,
-JSON key order or row order changes a hash here.
+rewritten; the ``group``, ``closed-form``, even-degree ``complement`` and
+``nori`` entries were recorded before the Hermite transform and the
+invariant-factor memo were removed.  A refactor that changes any verdict,
+justification, class string, JSON key order or row order changes a hash here.
 
 To re-record after an intended output change, print
 ``(exit_code, sha256(stdout))`` for each entry of ``COMMANDS`` and explain the
@@ -33,6 +35,12 @@ _BASE_COMMANDS = (
      "--assumption", "naive"),
     ("obstruct", "--ambient", "1,1,1,1", "--degree", "1,1,1,1", "--c1", "-x2", "--c2", "x1*x2 + x3*x4",
      "--assumption", "naive"),
+    ("group", "--generators", "x,y", "--relations", "[[3,0],[0,4]]"),
+    ("group", "--presentation", '{"generators":["a","b","c"],"relations":[[2,4,6],[0,3,9]]}'),
+    ("closed-form", "--d1", "3", "--d2", "4"),
+    ("closed-form", "--d1", "12", "--d2", "18"),
+    ("complement", "--ambient", "1,3", "--degree", "3,4", "--j", "3", "--assumption", "even-degree"),
+    ("obstruct", "--example", "nori:7"),
 )
 
 # Every command in text and in --json.
@@ -76,6 +84,18 @@ GOLDEN = (
     (0, "0f9de4fd989f2d7e25a40490482625cb9653da6fed8ec3dd7205b41c4a603fde"),
     (0, "62cc851e469db0fe793ef4284d9df90a2e464f297a992a6b8d765f1cde69166e"),
     (0, "f25e5fe3bdc51c575823b15ef8c5b61f0455f3d0999610a710faeab61f159363"),
+    (0, "5311960c6ddb00432b2dbf8218ac0923fe5d383dc7d9089b5590cb25025ab79c"),
+    (0, "4baef498c7d89dd4defbfa387b130f035504a872e38bd7c293584e7473bd4cbb"),
+    (0, "388fdb0b424958ef286d40915958be483d44c687819087f9fd8ba8f1fb7c6918"),
+    (0, "aaf53d8e6056d4e5548e1165c787573346389aa3ac7de7b53d4083b3019409b1"),
+    (0, "0f8b6494bf4c6152b4324375f8582ee34e2f2a0e895fc4d8d62dfbf8fbaed7c7"),
+    (0, "786650f63a60e994c85de5109921f516daf4555f6aecdabf8193f992ce2ffd23"),
+    (0, "ba4599c2da5a14357ccd898606f5d76d89c5b30a110fb025c2f91ba16a1f8ca3"),
+    (0, "729c4ee185c1741a9754f07fe7b99227786a32d4fb194062eeecb7d88d57840e"),
+    (0, "db95221e075c92cebeb40dc6fef9080aa02d07e5c0483acd7fc399ce28f1d210"),
+    (0, "a1b18e9e58bb9a99ad9d7c78829b2de07ee9a00ecbf556763827ee88f258b9c9"),
+    (0, "7c668f2675b7ed11e9001a65fbd9040e675b776fbeae5e2eee17a57c66643519"),
+    (0, "a96d7cf19f62063eb9e787d85c0863e95e55fb9e4f3a35c0113a669ad65d1854"),
 )
 
 
