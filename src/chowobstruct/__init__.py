@@ -32,6 +32,7 @@ from .intlinalg import (
     hermite_normal_form,
     hermite_reduce,
     lattice_contains,
+    smith_diagonal,
     smith_normal_form,
     xgcd,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "parse_class",
     "reduce_mod2",
     "restrict",
+    "smith_diagonal",
     "smith_normal_form",
     "sq2",
     "sq2_descends",

@@ -16,10 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
     IntegerMatrix,
-    SnfDecomposition,
     hermite_normal_form,
     hermite_reduce,
-    smith_normal_form,
+    smith_diagonal,
     xgcd,
 )
 
@@ -49,7 +48,7 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
 class AbelianPresentation:
     """Abelian group given by generator names and a relation matrix (rows are relations)."""
 
-    __slots__ = ("generator_names", "relations", "_snf", "_hnf", "_mod2")
+    __slots__ = ("generator_names", "relations", "_diagonal", "_hnf", "_mod2")
 
     def __init__(self, generator_names: Sequence[str], relations: IntegerMatrix | Iterable[Iterable[int]]):
         names = tuple(str(s) for s in generator_names)
@@ -61,7 +60,7 @@ class AbelianPresentation:
             )
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "_snf", None)
+        object.__setattr__(self, "_diagonal", None)
         object.__setattr__(self, "_hnf", None)
         object.__setattr__(self, "_mod2", None)
 
@@ -86,11 +85,6 @@ class AbelianPresentation:
     def ngens(self) -> int:
         return len(self.generator_names)
 
-    def snf(self) -> SnfDecomposition:
-        if self._snf is None:
-            object.__setattr__(self, "_snf", smith_normal_form(self.relations))
-        return self._snf
-
     def hnf(self) -> IntegerMatrix:
         if self._hnf is None:
             object.__setattr__(self, "_hnf", hermite_normal_form(self.relations))
@@ -101,7 +95,9 @@ class AbelianPresentation:
 
         The result is in divisibility order with zeros (free ranks) trailing.
         """
-        diag = self.snf().diagonal
+        if self._diagonal is None:
+            object.__setattr__(self, "_diagonal", smith_diagonal(self.relations))
+        diag = self._diagonal
         return tuple(d for d in diag if d != 1) + (0,) * (self.ngens - len(diag))
 
     def is_finite(self) -> bool:
@@ -199,23 +195,24 @@ class GroupElement:
         return not any(self.canonical())
 
     def order(self) -> int:
-        """Least k >= 1 with k*self = 0, or 0 if the element has infinite order."""
-        snf = self.group.snf()
-        v = snf.v.entries
-        n = self.group.ngens
-        y = [sum(self.coords[i] * v[i][j] for i in range(n)) for j in range(n)]
-        diag = snf.diagonal
+        """Least k >= 1 with k*self = 0, or 0 if the element has infinite order.
+
+        Walks the Hermite basis of the relations: a pivot p meeting residual
+        coordinate w multiplies the order by p/gcd(p, w), and a coordinate that
+        no pivot clears means infinite order.
+        """
+        w = list(self.coords)
         result = 1
-        for j in range(n):
-            s = diag[j] if j < len(diag) else 0
-            if s == 0:
-                if y[j]:
-                    return 0
-            else:
-                r = y[j] % s
-                if r:
-                    result = math.lcm(result, s // math.gcd(s, r))
-        return result
+        for row in self.group.hnf().entries:
+            pj = next((k for k, x in enumerate(row) if x), None)
+            if pj is None:
+                break
+            p = row[pj]
+            k = p // math.gcd(p, w[pj])
+            q = k * w[pj] // p
+            w = [k * x - q * y for x, y in zip(w, row)]
+            result *= k
+        return 0 if any(w) else result
 
     def _check_same_group(self, other: "GroupElement"):
         if not isinstance(other, GroupElement) or other.group != self.group:

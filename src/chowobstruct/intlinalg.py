@@ -120,31 +120,18 @@ class SnfDecomposition:
         return self.s.diagonal()
 
 
-def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def _smith_eliminate(rows: list[list[int]], m: int, n: int) -> None:
+    """Diagonalize the top-left m x n block of rows in place.
 
     Pivots are chosen with minimal absolute value to keep intermediate entries
     small; after each pivot is isolated, a divisibility sweep folds any
     non-multiple of the pivot back into the working row so the final diagonal
-    forms a divisor chain.  Works for any rectangular matrix, including empty
-    ones.
+    forms a divisor chain.  Row operations move whole rows and column
+    operations whole columns, while every choice reads only the block.
     """
-    m, n = a.rows, a.cols
-    s = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def add_row(mat, dst, src, c):
-        rd, rs = mat[dst], mat[src]
-        for k in range(len(rd)):
-            rd[k] += c * rs[k]
-
-    def add_col(mat, dst, src, c):
-        for row in mat:
-            row[dst] += c * row[src]
-
-    def swap_cols(mat, i, j):
-        for row in mat:
+    def swap_cols(i, j):
+        for row in rows:
             row[i], row[j] = row[j], row[i]
 
     t = 0
@@ -154,68 +141,79 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
         pi = pj = -1
         for i in range(t, m):
             for j in range(t, n):
-                e = abs(s[i][j])
+                e = abs(rows[i][j])
                 if e and (best == 0 or e < best):
                     best, pi, pj = e, i, j
         if pi < 0:
             break
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
+        rows[t], rows[pi] = rows[pi], rows[t]
         if pj != t:
-            swap_cols(s, t, pj)
-            swap_cols(v, t, pj)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            swap_cols(t, pj)
+        if rows[t][t] < 0:
+            rows[t] = [-x for x in rows[t]]
 
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
+                if rows[i][t]:
+                    q = rows[i][t] // rows[t][t]
                     if q:
-                        add_row(s, i, t, -q)
-                        add_row(u, i, t, -q)
-                    if s[i][t]:
+                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
+                    if rows[i][t]:
                         # remainder is a strictly smaller positive pivot
-                        s[t], s[i] = s[i], s[t]
-                        u[t], u[i] = u[i], u[t]
+                        rows[t], rows[i] = rows[i], rows[t]
                         dirty = True
                         break
             if dirty:
                 continue
             for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
+                if rows[t][j]:
+                    q = rows[t][j] // rows[t][t]
                     if q:
-                        add_col(s, j, t, -q)
-                        add_col(v, j, t, -q)
-                    if s[t][j]:
-                        swap_cols(s, t, j)
-                        swap_cols(v, t, j)
+                        for row in rows:
+                            row[j] -= q * row[t]
+                    if rows[t][j]:
+                        swap_cols(t, j)
                         dirty = True
                         break
 
-        p = s[t][t]
+        p = rows[t][t]
         carrier = -1
         for i in range(t + 1, m):
-            if any(x % p for x in s[i][t + 1:]):
+            if any(x % p for x in rows[i][t + 1:n]):
                 carrier = i
                 break
         if carrier >= 0:
             # pull the offending row into the pivot row and re-reduce at the same t
-            add_row(s, t, carrier, 1)
-            add_row(u, t, carrier, 1)
+            rows[t] = [x + y for x, y in zip(rows[t], rows[carrier])]
             continue
         t += 1
 
+
+def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    The elimination runs on a with I_m appended to the right and I_n below,
+    which then hold u and v.  Works for any rectangular matrix, including
+    empty ones.
+    """
+    m, n = a.rows, a.cols
+    rows = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
+    rows += [[int(i == j) for j in range(n)] for i in range(n)]
+    _smith_eliminate(rows, m, n)
     return SnfDecomposition(
-        u=IntegerMatrix(u, cols=m),
-        s=IntegerMatrix(s, cols=n),
-        v=IntegerMatrix(v, cols=n),
+        u=IntegerMatrix((row[n:] for row in rows[:m]), cols=m),
+        s=IntegerMatrix((row[:n] for row in rows[:m]), cols=n),
+        v=IntegerMatrix(rows[m:], cols=n),
     )
+
+
+def smith_diagonal(a: IntegerMatrix) -> tuple[int, ...]:
+    """The diagonal of smith_normal_form(a), without building u and v."""
+    rows = [list(row) for row in a.entries]
+    _smith_eliminate(rows, a.rows, a.cols)
+    return tuple(rows[i][i] for i in range(min(a.rows, a.cols)))
 
 
 def hermite_normal_form(a: IntegerMatrix) -> IntegerMatrix:

@@ -10,7 +10,7 @@ from chowobstruct.abelian import (
 )
 from chowobstruct.intlinalg import IntegerMatrix
 
-from oracles import bfs_cosets, cofactor_det, torsion_count
+from oracles import bfs_cosets, cofactor_det, frac_membership, torsion_count
 
 
 def test_invariant_factors_diagonal_relations():
@@ -57,6 +57,46 @@ def test_element_order_brute_force():
     assert g.zero().order() == 1
     free = AbelianPresentation(("x",), IntegerMatrix([], cols=1))
     assert free.element((1,)).order() == 0
+
+
+def test_element_order_matches_rational_oracle():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 3)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        det = cofactor_det(rows)
+        if det == 0 or abs(det) > 200:
+            continue
+        g = AbelianPresentation(tuple(f"g{i}" for i in range(n)), rows)
+        for _ in range(5):
+            c = [rng.randint(-12, 12) for _ in range(n)]
+            least = next(
+                k for k in range(1, abs(det) + 1) if frac_membership(rows, [k * x for x in c])
+            )
+            assert g.element(c).order() == least
+        checked += 1
+
+
+def test_element_order_free_generator_between_torsion():
+    # Z/3 + Z: the relation 2a + b leaves a and b of infinite order
+    g = AbelianPresentation(("a", "b", "c"), [[2, 1, 0], [0, 0, 3]])
+    assert g.element((1, 0, 0)).order() == 0
+    assert g.element((0, 1, 0)).order() == 0
+    assert g.element((0, 0, 1)).order() == 3
+    assert g.element((2, 1, 0)).order() == 1
+    assert g.element((4, 2, 2)).order() == 3
+
+
+def test_element_order_rank_deficient_rectangular():
+    # the three relations span only (2, 4, 6): Z^3 / Z(2, 4, 6) = Z/2 + Z^2
+    g = AbelianPresentation(("a", "b", "c"), [[2, 4, 6], [4, 8, 12], [-2, -4, -6]])
+    assert g.invariant_factors() == (2, 0, 0)
+    assert g.element((1, 2, 3)).order() == 2
+    assert g.element((3, 6, 9)).order() == 2
+    assert g.element((2, 4, 6)).order() == 1
+    assert g.element((1, 0, 0)).order() == 0
+    assert g.element((1, 2, 4)).order() == 0
 
 
 def test_tensor_mod2():

@@ -4,7 +4,9 @@ Each command's stdout is hashed with sha256 and compared, together with its
 exit code, against values recorded before the mod-2 obstruction path was
 rewritten; the ``group``, ``closed-form``, even-degree ``complement`` and
 ``nori`` entries were recorded before the Hermite transform and the
-invariant-factor memo were removed.  A refactor that changes any verdict,
+invariant-factor memo were removed; the ``snf`` entries after the first and the
+``group`` entry on ``[[2,1,0],[0,0,3]]`` were recorded before the Smith
+elimination was rewritten to carry its transforms as appended blocks.  A refactor that changes any verdict,
 justification, class string, JSON key order or row order changes a hash here.
 
 To re-record after an intended output change, print
@@ -41,6 +43,17 @@ _BASE_COMMANDS = (
     ("closed-form", "--d1", "12", "--d2", "18"),
     ("complement", "--ambient", "1,3", "--degree", "3,4", "--j", "3", "--assumption", "even-degree"),
     ("obstruct", "--example", "nori:7"),
+    # one branch of the Smith elimination each: divisibility carrier, row and
+    # column swaps, negative pivot, 2x3, 3x2, and the two empty shapes
+    ("snf", "--matrix", "[[2,0],[0,3]]"),
+    ("snf", "--matrix", "[[0,5],[3,0]]"),
+    ("snf", "--matrix", "[[-4,6],[6,9]]"),
+    ("snf", "--matrix", "[[0,0,2],[0,3,0]]"),
+    ("snf", "--matrix", "[[2,4],[6,8],[1,3]]"),
+    ("snf", "--matrix", "[]"),
+    ("snf", "--matrix", "[[]]"),
+    # Z/3 + Z with the free generator between the torsion ones
+    ("group", "--relations", "[[2,1,0],[0,0,3]]"),
 )
 
 # Every command in text and in --json.
@@ -96,6 +109,22 @@ GOLDEN = (
     (0, "a1b18e9e58bb9a99ad9d7c78829b2de07ee9a00ecbf556763827ee88f258b9c9"),
     (0, "7c668f2675b7ed11e9001a65fbd9040e675b776fbeae5e2eee17a57c66643519"),
     (0, "a96d7cf19f62063eb9e787d85c0863e95e55fb9e4f3a35c0113a669ad65d1854"),
+    (0, "9cbb60b14b6ea7f17f101f09b1d913f12df1ea3022747ff5c78d26c82530a89e"),
+    (0, "f3c4fa030828a006723c9fcd7c7ef312cf4021af394b40ca79a0a3bf5320d8e5"),
+    (0, "9581b05ea3bd55709b057423e9584e4359a03672b023e4aabc090a9dc15e93cf"),
+    (0, "61255120f29c4ef5015873af35517da0805bdebf965e175d6ffdb427c40603c4"),
+    (0, "cdf99825532cbab42c77340e3b082273fae8458bd8310a39d7628656bb08fda3"),
+    (0, "b3169b4fe797c4e24abace23f64912fc5df8aac930c456f2a9aaab59a12a9ff2"),
+    (0, "6fd78bb8307b73e51c59c97b9057b228fad7ac9aaf2bbef66e3276a32a1ebb3b"),
+    (0, "fa066400648eff22ddf0d8d6e17ca1ed1a38873dad1bd9fd199d4410af85e41f"),
+    (0, "2d0c9d0e16e33ae3302f03d6b9f15d581a4d5a186bab4ebe1577217fc1214fb5"),
+    (0, "543b51c9d24fe0da554a353d24adda03deb6d32e010889ca1de9780fa349d94f"),
+    (0, "f17b0efbe70fef37d16998254123ee96a510f0397bc7ad9ad6967898de5c7df6"),
+    (0, "ac240390a92c17e5b8848077282ab74e067b59d8b096ecdb92fd5996eee37c4a"),
+    (0, "9c061d9ec0b7d65542df48db36900f2135435278846dbbbcd67c630e1819feb9"),
+    (0, "8358ed2dd0a9cfee7f8b31a64bf2a14f5937639f51e1e459514be915657181b3"),
+    (0, "363d2d0dcc0ce370a83379ee205bef872e22e725760d3046edf4dfa535705980"),
+    (0, "08ec98631eb59d11e0938b0696805e2e2a3b400902c9e00859671f4e82dd56ee"),
 )
 
 

@@ -7,6 +7,7 @@ from chowobstruct.intlinalg import (
     hermite_normal_form,
     hermite_reduce,
     lattice_contains,
+    smith_diagonal,
     smith_normal_form,
     xgcd,
 )
@@ -94,11 +95,14 @@ def test_snf_random_sweep():
 
 def test_snf_diagonal_matches_determinantal_divisors():
     rng = random.Random(19)
-    for _ in range(120):
-        mat = random_matrix(rng, max_dim=4)
-        assert list(smith_normal_form(mat).diagonal) == reference_snf_diagonal(
-            mat.to_lists()
-        )
+    empty = [IntegerMatrix([], cols=n) for n in range(4)] + [
+        IntegerMatrix([[]] * m, cols=0) for m in range(1, 4)
+    ]
+    for mat in empty + [random_matrix(rng, max_dim=4) for _ in range(120)]:
+        reference = reference_snf_diagonal(mat.to_lists())
+        assert list(smith_normal_form(mat).diagonal) == reference
+        # the transform-free elimination makes the same choices
+        assert smith_diagonal(mat) == smith_normal_form(mat).diagonal == tuple(reference)
 
 
 def test_snf_diagonal_product_matches_determinant():
