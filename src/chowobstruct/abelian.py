@@ -48,7 +48,7 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
 class AbelianPresentation:
     """Abelian group given by generator names and a relation matrix (rows are relations)."""
 
-    __slots__ = ("generator_names", "relations", "_diagonal", "_hnf", "_mod2")
+    __slots__ = ("generator_names", "relations", "_diagonal", "_hnf")
 
     def __init__(self, generator_names: Sequence[str], relations: IntegerMatrix | Iterable[Iterable[int]]):
         names = tuple(str(s) for s in generator_names)
@@ -62,7 +62,6 @@ class AbelianPresentation:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_diagonal", None)
         object.__setattr__(self, "_hnf", None)
-        object.__setattr__(self, "_mod2", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianPresentation is immutable")
@@ -127,13 +126,10 @@ class AbelianPresentation:
 
     def tensor_mod2(self) -> "AbelianPresentation":
         """The mod-2 reduction: same generators, relations extended by 2*(each generator)."""
-        if self._mod2 is None:
-            n = self.ngens
-            rows = list(self.relations.entries)
-            rows.extend(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
-            mod2 = AbelianPresentation(self.generator_names, IntegerMatrix(rows, cols=n))
-            object.__setattr__(self, "_mod2", mod2)
-        return self._mod2
+        n = self.ngens
+        rows = list(self.relations.entries)
+        rows.extend(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
+        return AbelianPresentation(self.generator_names, IntegerMatrix(rows, cols=n))
 
     def elements(self) -> Iterator["GroupElement"]:
         """Yield one representative per coset, breadth-first from zero.

@@ -200,7 +200,8 @@ def _cmd_group(args) -> dict | str:
             names = [s.strip() for s in args.generators.split(",")]
         else:
             names = [f"g{i + 1}" for i in range(relations.cols)]
-        group = AbelianPresentation(names, relations)
+        # built to the width of the names, so "[]" presents the free group on them
+        group = AbelianPresentation(names, relations.entries)
     else:
         raise ValueError("group needs --relations or --presentation")
     if args.json:

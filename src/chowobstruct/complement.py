@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import gcd, lcm
 
 from .abelian import AbelianPresentation, GroupElement, bezout
@@ -224,32 +223,18 @@ def _certificate(model: ComplementModel, j: int, assumption: PushforwardAssumpti
     return ExactnessCertificate(degree=j, status=status, note=note if status != Status.EXACT else "")
 
 
-# Number of (model, degree, assumption) keys the group memo keeps; the least
-# recently used one is dropped beyond it, so a long run holds bounded memory.
-GROUP_MEMO_SIZE = 1024
-
-
 def complement_group(
     model: ComplementModel, j: int, assumption: PushforwardAssumption | None = None
 ) -> tuple[AbelianPresentation, ExactnessCertificate]:
     """Present CH^j of the complement as (degree-j monomials) / (assumption subgroup).
 
     Returns the presentation together with the certificate describing how the
-    quotient relates to the true Chow group.  Results are memoized in a bounded
-    least-recently-used memo; models, assumptions and presentations are all
-    immutable, so it is shared safely across threads.
+    quotient relates to the true Chow group.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    return _build_group(model, j, assumption)
-
-
-@lru_cache(maxsize=GROUP_MEMO_SIZE)
-def _build_group(
-    model: ComplementModel, j: int, assumption: PushforwardAssumption
-) -> tuple[AbelianPresentation, ExactnessCertificate]:
     rows = _relation_rows(model, j, assumption)
     basis = model.ambient.monomial_basis(j)
     names = tuple(model.ambient.monomial_str(e) for e in basis)

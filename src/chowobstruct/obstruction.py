@@ -197,6 +197,10 @@ def classify_all(
     is lifted to the ambient space through its smallest nonnegative
     representative.  Rows run over CH^2 inside CH^1, both in enumeration
     order, so output is deterministic.
+
+    theta, and with it the verdict, reads the lifts only mod 2, so decide()
+    runs once per pair of coordinate parities: at most 2^(b1 + b2) times, where
+    b1 and b2 are the ranks of CH^1 and CH^2 of the ambient space.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -208,13 +212,19 @@ def classify_all(
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"
         )
 
-    lifts2 = [ChowClass.from_coords(model.ambient, 2, e2.coords) for e2 in g2.elements()]
+    elements2 = list(g2.elements())
+    lifts2 = [ChowClass.from_coords(model.ambient, 2, e2.coords) for e2 in elements2]
     labels2 = [class_str(lift2) for lift2 in lifts2]
+    parities2 = [tuple(c % 2 for c in e2.coords) for e2 in elements2]
+    verdicts = {}
     rows = []
     for e1 in g1.elements():
         lift1 = ChowClass.from_coords(model.ambient, 1, e1.coords)
         label1 = class_str(lift1)
-        for lift2, label2 in zip(lifts2, labels2):
-            report = decide(model, ChernPair(lift1, lift2), assumption)
-            rows.append(ClassifyRow(c1=label1, c2=label2, verdict=report.verdict))
+        parity1 = tuple(c % 2 for c in e1.coords)
+        for lift2, label2, parity2 in zip(lifts2, labels2, parities2):
+            key = (parity1, parity2)
+            if key not in verdicts:
+                verdicts[key] = decide(model, ChernPair(lift1, lift2), assumption).verdict
+            rows.append(ClassifyRow(c1=label1, c2=label2, verdict=verdicts[key]))
     return rows

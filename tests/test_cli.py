@@ -50,6 +50,26 @@ def test_group_presentation_json(capsys):
     assert data["invariant_factors"] == ["16"]
 
 
+def test_group_generators_with_no_relations_is_free(capsys):
+    # an empty relation list presents the free group on the named generators,
+    # the same with --generators as with --presentation
+    named = ("group", "--generators", "a,b", "--relations", "[]")
+    payload = ("group", "--presentation", '{"generators":["a","b"],"relations":[]}')
+    for extra in ((), ("--json",)):
+        assert run_cli(capsys, *named, *extra) == run_cli(capsys, *payload, *extra)
+    code, out, _ = run_cli(capsys, *named)
+    assert code == 0
+    assert out.endswith("group: Z ⊕ Z\n")
+
+
+def test_group_generators_width_mismatch_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "group", "--generators", "a,b", "--relations", "[[1,2,3]]"
+    )
+    assert (code, out) == (2, "")
+    assert "usage error" in err
+
+
 def test_cup_subcommand(capsys):
     code, out, _ = run_cli(capsys, "cup", "--ambient", "1,3", "--a", "3*x1 + 4*x2", "--b", "x2")
     assert code == 0

@@ -5,13 +5,11 @@ import pytest
 
 from chowobstruct.chow import AmbientSpace, ChowClass, parse_class
 from chowobstruct.complement import (
-    GROUP_MEMO_SIZE,
     ComplementModel,
     Direction,
     InapplicableAssumptionError,
     PushforwardAssumption,
     Status,
-    _build_group,
     closed_form_check,
     complement_group,
     restrict,
@@ -197,20 +195,6 @@ def test_custom_assumption_directions():
     assert cert_b.status == Status.UPPER_BOUND_ONLY
     with pytest.raises(InapplicableAssumptionError):
         complement_group(model34(), 2, contains)
-
-
-def test_groups_are_memoized():
-    g1, _ = complement_group(model34(), 2, NAIVE)
-    g2, _ = complement_group(model34(), 2, NAIVE)
-    assert g1 is g2
-
-
-def test_group_memo_is_bounded():
-    for d in range(1, GROUP_MEMO_SIZE + 50):
-        complement_group(ComplementModel(P4, (d,)), 1, NAIVE)
-    assert _build_group.cache_info().currsize <= GROUP_MEMO_SIZE
-    group, _ = complement_group(model34(), 3, NAIVE)
-    assert group.tensor_mod2() is group.tensor_mod2()
 
 
 def test_naive_degree1_matches_componentwise_closed_form():

@@ -6,7 +6,10 @@ rewritten; the ``group``, ``closed-form``, even-degree ``complement`` and
 ``nori`` entries were recorded before the Hermite transform and the
 invariant-factor memo were removed; the ``snf`` entries after the first and the
 ``group`` entry on ``[[2,1,0],[0,0,3]]`` were recorded before the Smith
-elimination was rewritten to carry its transforms as appended blocks.  A refactor that changes any verdict,
+elimination was rewritten to carry its transforms as appended blocks; the
+naive, nori and second even-degree ``classify`` tables were recorded while
+``classify_all`` still ran ``decide`` once per row, before it was made to decide
+once per parity class.  A refactor that changes any verdict,
 justification, class string, JSON key order or row order changes a hash here.
 
 To re-record after an intended output change, print
@@ -54,6 +57,13 @@ _BASE_COMMANDS = (
     ("snf", "--matrix", "[[]]"),
     # Z/3 + Z with the free generator between the torsion ones
     ("group", "--relations", "[[2,1,0],[0,0,3]]"),
+    # classify tables under naive and nori, and a second even-degree one
+    ("classify", "--example", "nori:6"),
+    ("classify", "--ambient", "4", "--degree", "6", "--assumption", "naive"),
+    ("classify", "--ambient", "4", "--degree", "25", "--assumption", "naive"),
+    ("classify", "--ambient", "1,3", "--degree", "2,2", "--assumption", "naive"),
+    ("classify", "--ambient", "1,3", "--degree", "2,2", "--assumption", "nori"),
+    ("classify", "--ambient", "1,3", "--degree", "2,4", "--assumption", "even-degree"),
 )
 
 # Every command in text and in --json.
@@ -125,6 +135,18 @@ GOLDEN = (
     (0, "8358ed2dd0a9cfee7f8b31a64bf2a14f5937639f51e1e459514be915657181b3"),
     (0, "363d2d0dcc0ce370a83379ee205bef872e22e725760d3046edf4dfa535705980"),
     (0, "08ec98631eb59d11e0938b0696805e2e2a3b400902c9e00859671f4e82dd56ee"),
+    (0, "6c81b26d226f82fcf4c1f6c0ddb42f571d3ac2b1bb74bac696d7b32e3820ea17"),
+    (0, "35d14a69098e1148b4963bfc02f2b568c5d6097555dca7fe4fc3b11e7ea3c5d0"),
+    (0, "6b8bcc03b54aaeaa8da94b46d98014a4eb82c67089b066636e1345de00d7210d"),
+    (0, "e2d54b8ef99c8ebb9b9ce42c47e1926bb3ffcafa763262681c29d6d47f7f6568"),
+    (0, "22ffd4911bebcf9d2a90399307bd9bb301d2fbf3cfc1695b2350328579c6c1d1"),
+    (0, "7dcda1653f804fc90ad9bdfe7cfc0318bf388cbcae0ca000a0255d183cf005a4"),
+    (0, "08e09778396e7d0d4a4c5822b164ac2e7147c9ea13cc31194f8fe594eebc4ab0"),
+    (0, "8795793cdb895fdd31d9b77a6a8553088fd3faa0edd5e11c3f45dedc369f19b7"),
+    (0, "f73f8ac796527402e5c159553ff8678fe124bf65f032ca1d18375128a8f48e91"),
+    (0, "8ce77bad7e0bb488d44ec7dc46a3d4c8304b3b378febbc7fcbdc40ca8dfac148"),
+    (0, "a6d95a09f6f6e726c8505f3de3f49f0c483c67747cc607b938245167bd4c8c10"),
+    (0, "b6c589fd4c54a2fccbe56f7b28c1b09cb02c8834d26fe97551806b54d2e2a1ba"),
 )
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chowobstruct import obstruction
 from chowobstruct.abelian import InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
@@ -263,3 +264,43 @@ def test_classify_lifts_are_smallest_representatives():
     rows = classify_all(model, EVEN)
     labels = {r.c2 for r in rows}
     assert "x1*x2" in labels and "x2^2" in labels and "0" in labels
+
+
+
+def _sweep_against_decide(monkeypatch, model, assumption):
+    """Run classify_all with decide() counted, check every row against a direct
+    decide() on its own lift, and return the number of calls classify_all made."""
+    calls = []
+
+    def counting_decide(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "decide", counting_decide)
+        rows = classify_all(model, assumption)
+    ambient = model.ambient
+    for row in rows:
+        pair = ChernPair(
+            parse_class(ambient, row.c1, degree=1), parse_class(ambient, row.c2, degree=2)
+        )
+        assert decide(model, pair, assumption).verdict == row.verdict, (model, row)
+    return len(calls)
+
+
+@pytest.mark.parametrize("assumption", [NAIVE, EVEN, NORI], ids=lambda a: a.label())
+def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
+    # theta reads c1 and c2 mod 2, so one decide() per parity class: 2^(1+1)
+    for d in range(1, 13):
+        calls = _sweep_against_decide(monkeypatch, ComplementModel(P4, (d,)), assumption)
+        assert 1 <= calls <= 4, (d, calls)
+
+
+@pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=lambda a: a.label())
+def test_classify_p1xp3_matches_decide_on_every_row(monkeypatch, assumption):
+    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2, so at most 2^4 decide() calls
+    for d1 in range(1, 5):
+        for d2 in range(1, 5):
+            model = ComplementModel(P1xP3, (d1, d2))
+            calls = _sweep_against_decide(monkeypatch, model, assumption)
+            assert 1 <= calls <= 16, (d1, d2, calls)
