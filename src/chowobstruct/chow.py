@@ -208,9 +208,17 @@ def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple
         raise ValueError("divisor class must have degree 1")
     if j < 1:
         raise ValueError("j must be a positive integer")
-    return tuple(
-        cup(z, ChowClass.monomial(ambient, e)).coords() for e in ambient.monomial_basis(j - 1)
-    )
+    # a product monomial missing from the index is past a truncation bound
+    index = {e: i for i, e in enumerate(ambient.monomial_basis(j))}
+    columns = []
+    for m in ambient.monomial_basis(j - 1):
+        col = [0] * len(index)
+        for e, c in z.items():
+            i = index.get(tuple(x + y for x, y in zip(e, m)))
+            if i is not None:
+                col[i] += c
+        columns.append(tuple(col))
+    return tuple(columns)
 
 
 def divisor_multiplication_matrix(ambient: AmbientSpace, z: ChowClass, j: int) -> IntegerMatrix:

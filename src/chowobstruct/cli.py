@@ -279,8 +279,8 @@ def _cmd_obstruct(args) -> dict | str:
     report = decide(model, pair, assumption)
     if args.json:
         return {
-            "ambient": args.ambient,
-            "degree": args.degree,
+            "ambient": ",".join(map(str, model.ambient.factor_dims)),
+            "degree": ",".join(map(str, model.multidegree)),
             "c1": class_str(pair.c1),
             "c2": class_str(pair.c2),
             "assumption": assumption.label(),
@@ -375,6 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parse_args fills a fresh namespace on every call, and help and
+# usage text read the terminal width when they are formatted.
+PARSER = build_parser()
+
+
 def _attach_signed_classes(argv: list[str]) -> list[str]:
     """Rewrite '--c1 -x1' as '--c1=-x1', since argparse reads '-x1' as an option;
     an abbreviation ('--clas -x1') is rewritten too, for argparse to resolve or reject."""
@@ -408,12 +413,11 @@ def _domain_error(args, exc: Exception) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_signed_classes(argv))
-    _apply_preset(args, parser)
+    args = PARSER.parse_args(_attach_signed_classes(argv))
+    _apply_preset(args, PARSER)
     for required in ("ambient", "degree", "assumption", "c1", "c2"):
         if hasattr(args, required) and getattr(args, required) is None:
-            parser.error(f"--{required} is required (directly or via --example)")
+            PARSER.error(f"--{required} is required (directly or via --example)")
     try:
         result = args.func(args)
     except DOMAIN_ERRORS as exc:

@@ -69,6 +69,34 @@ def test_divisor_matrix_agrees_with_cup():
                 assert tuple(r[0] for r in (mat @ col).entries) == cup(z, alpha).coords()
 
 
+def test_divisor_matrix_matches_cup_columns():
+    # the slow path: one cup product per degree-(j-1) basis monomial
+    rng = random.Random(83)
+    ambients = [AmbientSpace(d) for d in ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1), (1, 1, 1), (5,))]
+    for ambient in ambients:
+        basis = ambient.monomial_basis(1)
+        for _ in range(20):
+            z = ChowClass(ambient, 1, {e: rng.randint(-6, 6) for e in basis})
+            for j in range(1, ambient.total_dim + 3):
+                columns = [
+                    cup(z, ChowClass.monomial(ambient, m)).coords() for m in ambient.monomial_basis(j - 1)
+                ]
+                slow = IntegerMatrix(zip(*columns), cols=len(columns))
+                fast = divisor_multiplication_matrix(ambient, z, j)
+                assert (fast.rows, fast.cols) == (len(ambient.monomial_basis(j)), len(columns))
+                assert fast == slow, (ambient, z, j)
+
+
+def test_divisor_matrix_argument_checks():
+    z = parse_class(P1xP3, "3*x1 + 4*x2")
+    with pytest.raises(AmbientMismatchError, match="different ambient"):
+        divisor_multiplication_matrix(P4, z, 2)
+    with pytest.raises(ValueError, match="degree 1"):
+        divisor_multiplication_matrix(P1xP3, parse_class(P1xP3, "x1*x2"), 2)
+    with pytest.raises(ValueError, match="positive integer"):
+        divisor_multiplication_matrix(P1xP3, z, 0)
+
+
 def test_cup_ring_laws():
     rng = random.Random(67)
     for _ in range(40):

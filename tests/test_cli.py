@@ -313,3 +313,13 @@ def test_ambiguous_class_option_stays_usage_error(capsys):
               "--assumption", "naive", "--c", "-x1"])
     assert exc.value.code == 2
     assert "ambiguous option" in capsys.readouterr().err
+
+
+def test_obstruct_json_echoes_the_parsed_model(capsys):
+    args = ("--c1", "x1", "--c2", "x1^2", "--assumption", "even-degree", "--json")
+    canonical = run_cli(capsys, "obstruct", "--ambient", "4", "--degree", "48", *args)
+    assert canonical[0] == 0
+    assert json.loads(canonical[1])["ambient"] == "4"
+    for ambient in ("04", " 4", "+4"):
+        got = run_cli(capsys, "obstruct", "--ambient", ambient, "--degree", " 048", *args)
+        assert got == canonical, ambient

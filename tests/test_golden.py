@@ -19,6 +19,9 @@ change in CHANGES.md.
 
 import hashlib
 
+import pytest
+
+from chowobstruct import cli
 from chowobstruct.cli import main
 
 _BASE_COMMANDS = (
@@ -163,3 +166,44 @@ def test_cli_output_is_pinned(capsys):
         if got != expected:
             mismatches.append(" ".join(argv))
     assert not mismatches, mismatches
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # reverse order, with a usage error, a missing option and --help between entries
+    failing = (
+        (("obstruct", "--example", "nosuch"), 2, "unknown example"),
+        (("classify", "--ambient", "4"), 2, "--degree is required"),
+        (("--help",), 0, ""),
+    )
+    mismatches = []
+    for n, (argv, expected) in enumerate(reversed(tuple(zip(COMMANDS, GOLDEN)))):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        if (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) != expected:
+            mismatches.append(" ".join(argv))
+        bad_argv, bad_code, message = failing[n % len(failing)]
+        assert _exit_code(bad_argv) == bad_code
+        assert message in capsys.readouterr().err
+    assert not mismatches, mismatches
+
+
+def test_preset_does_not_leak_into_the_next_call(capsys):
+    assert main(["obstruct", "--example", "totaro48"]) == 0
+    capsys.readouterr()
+    assert _exit_code(["obstruct", "--ambient", "4", "--degree", "48", "--c1", "x1", "--c2", "x1^2"]) == 2
+    assert "--assumption" in capsys.readouterr().err
+
+
+def test_run_does_not_build_a_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert cli.main(list(COMMANDS[0])) == GOLDEN[0][0]
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == GOLDEN[0][1]
