@@ -9,7 +9,6 @@ from .chow import (
     ChowClass,
     class_str,
     cup,
-    divisor_multiplication_matrix,
     parse_class,
     reduce_mod2,
 )
@@ -24,14 +23,12 @@ from .complement import (
     Status,
     closed_form_check,
     complement_group,
-    restrict,
 )
 from .intlinalg import (
     IntegerMatrix,
     SnfDecomposition,
     hermite_normal_form,
     hermite_reduce,
-    lattice_contains,
     smith_diagonal,
     smith_normal_form,
     xgcd,
@@ -47,7 +44,7 @@ from .obstruction import (
     sq2_descends,
     theta,
 )
-from .steenrod import sq2, sq2_monomial
+from .steenrod import sq2
 
 __version__ = "0.1.0"
 
@@ -80,18 +77,14 @@ __all__ = [
     "complement_group",
     "cup",
     "decide",
-    "divisor_multiplication_matrix",
     "hermite_normal_form",
     "hermite_reduce",
-    "lattice_contains",
     "parse_class",
     "reduce_mod2",
-    "restrict",
     "smith_diagonal",
     "smith_normal_form",
     "sq2",
     "sq2_descends",
-    "sq2_monomial",
     "theta",
     "xgcd",
 ]

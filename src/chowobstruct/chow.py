@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator, Mapping, Sequence
 
-from .intlinalg import IntegerMatrix
-
 
 class AmbientMismatchError(Exception):
     """Raised when classes from different ambient spaces are combined."""
@@ -99,10 +97,6 @@ class ChowClass:
 
     def __setattr__(self, name, value):
         raise AttributeError("ChowClass is immutable")
-
-    @classmethod
-    def zero(cls, ambient: AmbientSpace, degree: int) -> "ChowClass":
-        return cls(ambient, degree, {})
 
     @classmethod
     def monomial(cls, ambient: AmbientSpace, exps: Sequence[int], coeff: int = 1) -> "ChowClass":
@@ -202,12 +196,6 @@ def reduce_mod2(c: ChowClass) -> ChowClass:
 
 def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of z * m in the degree-j basis, one tuple per degree-(j-1) basis monomial m."""
-    if z.ambient != ambient:
-        raise AmbientMismatchError("divisor class lives in a different ambient space")
-    if z.degree != 1:
-        raise ValueError("divisor class must have degree 1")
-    if j < 1:
-        raise ValueError("j must be a positive integer")
     # a product monomial missing from the index is past a truncation bound
     index = {e: i for i, e in enumerate(ambient.monomial_basis(j))}
     columns = []
@@ -219,16 +207,6 @@ def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple
                 col[i] += c
         columns.append(tuple(col))
     return tuple(columns)
-
-
-def divisor_multiplication_matrix(ambient: AmbientSpace, z: ChowClass, j: int) -> IntegerMatrix:
-    """Matrix of cup-with-z from the degree j-1 basis to the degree j basis.
-
-    Rows are indexed by degree-j monomials, columns by degree-(j-1) monomials,
-    both in basis order; column c holds the coordinates of z * (c-th monomial).
-    """
-    columns = _divisor_columns(ambient, z, j)
-    return IntegerMatrix(zip(*columns), cols=len(columns))
 
 
 _FACTOR_RE = re.compile(r"(x(\d+)|xi|tau)(?:\^(\d+))?$")

@@ -20,13 +20,11 @@ from .abelian import AbelianPresentation, InfiniteGroupError
 from .chow import (
     AmbientMismatchError,
     AmbientSpace,
-    ChowClass,
     class_str,
     cup,
     parse_class,
 )
 from .complement import (
-    ClosedFormReport,
     ComplementModel,
     Direction,
     InapplicableAssumptionError,
@@ -38,7 +36,6 @@ from .intlinalg import IntegerMatrix, smith_normal_form
 from .obstruction import (
     ChernPair,
     DimensionUnsupportedError,
-    Verdict,
     classify_all,
     decide,
 )

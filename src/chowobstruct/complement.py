@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd, lcm
 
-from .abelian import AbelianPresentation, GroupElement, bezout
+from .abelian import AbelianPresentation, bezout
 from .chow import (
     AmbientSpace,
-    AmbientMismatchError,
     ChowClass,
     _divisor_columns,
     parse_class,
@@ -176,8 +175,8 @@ def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...
     In degree 1 the quotient is presented with one relation d_i * x_i per
     factor, so that CH^1 splits as the direct sum of Z/d_i with x_i generating
     the i-th summand; from degree 2 on the generators are z * (each degree j-1
-    basis monomial), the columns of the divisor multiplication matrix, taken
-    directly as relation rows.
+    basis monomial), the coordinate tuples of _divisor_columns, taken directly
+    as relation rows.
     """
     ambient = model.ambient
     if j == 0:
@@ -240,23 +239,6 @@ def complement_group(
     names = tuple(model.ambient.monomial_str(e) for e in basis)
     group = AbelianPresentation(names, IntegerMatrix(rows, cols=len(basis)))
     return group, _certificate(model, j, assumption)
-
-
-def restrict(
-    model: ComplementModel,
-    c: ChowClass,
-    j: int | None = None,
-    assumption: PushforwardAssumption | None = None,
-) -> GroupElement:
-    """Image of an ambient class in the degree-j complement quotient."""
-    if c.ambient != model.ambient:
-        raise AmbientMismatchError("class lives in a different ambient space")
-    if j is None:
-        j = c.degree
-    if c.degree != j:
-        raise ValueError(f"class has degree {c.degree}, expected {j}")
-    group, _ = complement_group(model, j, assumption)
-    return group.element(c.coords())
 
 
 @dataclass(frozen=True)

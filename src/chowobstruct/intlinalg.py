@@ -58,14 +58,6 @@ class IntegerMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(([int(i == j) for j in range(n)] for i in range(n)), cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(([0] * cols for _ in range(rows)), cols=cols)
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
@@ -281,8 +273,3 @@ def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
             for k in range(pj, len(w)):
                 w[k] -= q * row[k]
     return tuple(w)
-
-
-def lattice_contains(basis: IntegerMatrix, vector: Sequence[int]) -> bool:
-    """Decide exactly whether a vector lies in the integer row-span of basis."""
-    return not any(hermite_reduce(hermite_normal_form(basis), vector))

@@ -123,10 +123,13 @@ def decide(
     th = theta(pair)
     coords = th.coords()
     naive_group, naive_cert = complement_group(model, 3, PushforwardAssumption.naive())
-    naive_zero = naive_group.tensor_mod2().element(coords).is_zero()
+    naive_mod2 = naive_group.tensor_mod2()
+    naive_zero = naive_mod2.element(coords).is_zero()
 
+    # naive and nori share their relations, and so the mod-2 quotient and its HNF
     assm_group, assm_cert = complement_group(model, 3, assumption)
-    assm_image = assm_group.tensor_mod2().element(coords)
+    assm_mod2 = naive_mod2 if assm_group == naive_group else assm_group.tensor_mod2()
+    assm_image = assm_mod2.element(coords)
     assm_zero = assm_image.is_zero()
 
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)

@@ -15,14 +15,7 @@ degree is always the input degree plus one.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .chow import AmbientSpace, ChowClass
-
-
-def sq2_monomial(ambient: AmbientSpace, exps: Sequence[int]) -> ChowClass:
-    """Sq^2 of a single monomial, as a mod-2 class of one higher degree."""
-    return sq2(ChowClass.monomial(ambient, exps))
+from .chow import ChowClass
 
 
 def sq2(c: ChowClass) -> ChowClass:

@@ -268,6 +268,23 @@ def test_readme_examples_run(capsys):
         assert code == 0 and out, (argv, err)
 
 
+def test_readme_library_example_prints_its_comments(capsys):
+    # each print line ends in a comment with the line it prints, or none
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme.split("## Library", 1)[1], re.S).group(1)
+    expected = [
+        line.split("# ", 1)[1] if "# " in line else None
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        assert want is None or got == want
+    assert expected[0] == "NOT_ALGEBRAIZABLE" and expected[-1] == "4"
+
+
 def test_oversized_output_is_domain_error(capsys):
     # both entries fit under the limit; their product, the invariant factor, does not
     relations = f"[[{3 ** 800},0],[0,{2 ** 1300 + 1}]]"

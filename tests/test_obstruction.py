@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chowobstruct import obstruction
-from chowobstruct.abelian import InfiniteGroupError
+from chowobstruct.abelian import AbelianPresentation, InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.obstruction import (
@@ -55,7 +55,7 @@ def test_theta_bilinear_identity_in_c1():
         c1 = ChowClass(P1xP3, 1, {e: rng.randint(0, 3) for e in basis1})
         c1p = ChowClass(P1xP3, 1, {e: rng.randint(0, 3) for e in basis1})
         c2 = ChowClass(P1xP3, 2, {e: rng.randint(0, 3) for e in basis2})
-        zero1 = ChowClass.zero(P1xP3, 1)
+        zero1 = ChowClass(P1xP3, 1, {})
         lhs = reduce_mod2(theta(ChernPair(c1 + c1p, c2)) + theta(ChernPair(zero1, c2)))
         rhs = reduce_mod2(theta(ChernPair(c1, c2)) + theta(ChernPair(c1p, c2)))
         assert lhs == rhs
@@ -129,6 +129,26 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     report = decide(model, pair, custom)
     assert report.verdict == Verdict.ALGEBRAIZABLE
     assert "inside the pushforward image" in report.justification["verdict_basis"]
+
+
+@pytest.mark.parametrize(
+    "assumption, reductions", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
+)
+def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, reductions):
+    # naive and nori present the same degree-3 group, so decide() reduces it once
+    calls = []
+    tensor_mod2 = AbelianPresentation.tensor_mod2
+
+    def counting_tensor_mod2(group):
+        calls.append(group)
+        return tensor_mod2(group)
+
+    model = ComplementModel(P1xP3, (3, 4))
+    monkeypatch.setattr(AbelianPresentation, "tensor_mod2", counting_tensor_mod2)
+    report = decide(model, pair_on(P1xP3, "0", "x1*x2"), assumption)
+    assert len(calls) == reductions
+    # the image still lies in the reduction of the assumption's own group
+    assert report.theta_image.group == tensor_mod2(complement_group(model, 3, assumption)[0])
 
 
 def test_decide_rejects_foreign_pair():

@@ -2,7 +2,7 @@ import random
 
 from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class, reduce_mod2
 from chowobstruct.obstruction import ChernPair, theta
-from chowobstruct.steenrod import sq2, sq2_monomial
+from chowobstruct.steenrod import sq2
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -15,23 +15,23 @@ def random_class(rng, ambient, degree, low=0, high=1):
 
 def test_sq2_of_xi_tau():
     # the x1^2*x2 term truncates, leaving x1*x2^2
-    assert sq2_monomial(P1xP3, (1, 1)) == parse_class(P1xP3, "x1*x2^2")
+    assert sq2(ChowClass.monomial(P1xP3, (1, 1))) == parse_class(P1xP3, "x1*x2^2")
 
 
 def test_sq2_of_xi_squared_in_p4():
     # even exponent contributes an even coefficient, zero mod 2
-    assert sq2_monomial(P4, (2,)).is_zero()
+    assert sq2(ChowClass.monomial(P4, (2,))).is_zero()
 
 
 def test_sq2_of_unit():
-    out = sq2_monomial(P1xP3, (0, 0))
+    out = sq2(ChowClass.monomial(P1xP3, (0, 0)))
     assert out.is_zero() and out.degree == 1
 
 
 def test_sq2_additive_extension():
     c = parse_class(P1xP3, "x1*x2 + x2^2")
     assert sq2(c) == parse_class(P1xP3, "x1*x2^2")
-    assert sq2(ChowClass.zero(P1xP3, 2)).is_zero()
+    assert sq2(ChowClass(P1xP3, 2, {})).is_zero()
 
 
 def test_sq2_kills_multiples_of_xi_squared_in_p4():
