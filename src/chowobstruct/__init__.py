@@ -21,6 +21,7 @@ from .complement import (
     InapplicableAssumptionError,
     PushforwardAssumption,
     Status,
+    certificate,
     closed_form_check,
     complement_group,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "Status",
     "Verdict",
     "bezout",
+    "certificate",
     "class_str",
     "classify_all",
     "closed_form_check",

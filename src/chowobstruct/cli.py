@@ -29,6 +29,7 @@ from .complement import (
     Direction,
     InapplicableAssumptionError,
     PushforwardAssumption,
+    certificate,
     closed_form_check,
     complement_group,
 )
@@ -118,7 +119,8 @@ def _parse_assumption(text: str) -> PushforwardAssumption:
         if not isinstance(payload, dict):
             raise ValueError(f"assumption file {path} must hold a JSON object")
         for key, kind in CUSTOM_ASSUMPTION_KEYS.items():
-            if not isinstance(payload.get(key), kind):
+            value = payload.get(key)
+            if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"assumption file {path}: {key!r} is missing or malformed")
         if not all(isinstance(g, str) for g in payload["generators"]):
             raise ValueError(f"assumption file {path}: 'generators' must hold class literals")
@@ -225,7 +227,8 @@ def _cmd_sq2(args) -> dict | str:
 def _cmd_complement(args) -> dict | str:
     model = _model_from_args(args)
     assumption = _parse_assumption(args.assumption)
-    group, cert = complement_group(model, args.j, assumption)
+    group = complement_group(model, args.j, assumption)
+    cert = certificate(model, args.j, assumption)
     if args.json:
         out = _group_json(group)
         out["certificate"] = cert.as_dict()

@@ -17,7 +17,7 @@ declared subgroup S_j together with an explicit containment direction:
 * custom subgroups carry their own direction flag and the caller vouches for
   them.
 
-Every returned group comes with an ExactnessCertificate recording how much is
+certificate() gives each quotient an ExactnessCertificate recording how much is
 actually known about it.  EXACT is only issued in degrees <= 2 over an ambient
 of total dimension >= 4 with an ample hypersurface class, where the quotient
 provably equals CH^j(X).
@@ -108,14 +108,10 @@ class PushforwardAssumption:
             AssumptionKind.CUSTOM, direction, int(degree), tuple(generators)
         )
 
-    def applies_to(self, ambient: AmbientSpace, j: int) -> bool:
-        if self.kind in (AssumptionKind.NAIVE_DIVISOR, AssumptionKind.NORI_EXACT):
-            return True
-        if self.kind == AssumptionKind.EVEN_DEGREE:
-            return j == EVEN_DEGREE_DEGREE and ambient.factor_dims in _EVEN_DEGREE_GENERATORS
-        return j == self.applicable_degree and all(
-            g.ambient == ambient and g.degree == j for g in self.custom_generators
-        )
+    @property
+    def presents_divisor_multiples(self) -> bool:
+        """naive and nori quotient by the same divisor-multiple subgroup in every degree."""
+        return self.kind in (AssumptionKind.NAIVE_DIVISOR, AssumptionKind.NORI_EXACT)
 
     def label(self) -> str:
         if self.kind == AssumptionKind.CUSTOM:
@@ -192,43 +188,44 @@ def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...
 def _relation_rows(
     model: ComplementModel, j: int, assumption: PushforwardAssumption
 ) -> tuple[tuple[int, ...], ...]:
-    if not assumption.applies_to(model.ambient, j):
-        raise InapplicableAssumptionError(
-            f"assumption {assumption.label()!r} does not apply to degree {j} of {model.ambient}"
-        )
-    if assumption.kind in (AssumptionKind.NAIVE_DIVISOR, AssumptionKind.NORI_EXACT):
+    """The assumption's subgroup generators in the degree-j basis; raises where it does not apply."""
+    if assumption.presents_divisor_multiples:
         return _naive_relation_rows(model, j)
     if assumption.kind == AssumptionKind.EVEN_DEGREE:
-        gens = _EVEN_DEGREE_GENERATORS[model.ambient.factor_dims]
-        return tuple(parse_class(model.ambient, g).coords() for g in gens)
-    return tuple(g.coords() for g in assumption.custom_generators)
+        gens = _EVEN_DEGREE_GENERATORS.get(model.ambient.factor_dims)
+        if j == EVEN_DEGREE_DEGREE and gens is not None:
+            return tuple(parse_class(model.ambient, g).coords() for g in gens)
+    elif j == assumption.applicable_degree and all(
+        g.ambient == model.ambient and g.degree == j for g in assumption.custom_generators
+    ):
+        return tuple(g.coords() for g in assumption.custom_generators)
+    raise InapplicableAssumptionError(
+        f"assumption {assumption.label()!r} does not apply to degree {j} of {model.ambient}"
+    )
 
 
-def _certificate(model: ComplementModel, j: int, assumption: PushforwardAssumption) -> ExactnessCertificate:
+def certificate(model: ComplementModel, j: int, assumption: PushforwardAssumption) -> ExactnessCertificate:
+    """How the degree-j quotient by the assumption's subgroup relates to CH^j(X)."""
     provably_exact = j <= 2 and model.ambient.total_dim >= 4 and model.is_ample
-    note = ""
-    if not model.is_ample:
-        note = "hypersurface class is not ample; closed-form guarantees are void"
+    note = "" if model.is_ample else "hypersurface class is not ample; closed-form guarantees are void"
     if assumption.kind == AssumptionKind.NAIVE_DIVISOR:
         status = Status.EXACT if provably_exact else Status.UPPER_BOUND_ONLY
     elif assumption.kind == AssumptionKind.NORI_EXACT:
         status = Status.EXACT if provably_exact else Status.ASSUMED_EXACT
-    elif assumption.kind == AssumptionKind.EVEN_DEGREE:
-        status = Status.ASSUMED_CONTAINS
     elif assumption.direction == Direction.CONTAINS_IMAGE:
         status = Status.ASSUMED_CONTAINS
     else:
         status = Status.UPPER_BOUND_ONLY
-    return ExactnessCertificate(degree=j, status=status, note=note if status != Status.EXACT else "")
+    # EXACT needs an ample class, so it never carries the note
+    return ExactnessCertificate(degree=j, status=status, note=note)
 
 
 def complement_group(
     model: ComplementModel, j: int, assumption: PushforwardAssumption | None = None
-) -> tuple[AbelianPresentation, ExactnessCertificate]:
+) -> AbelianPresentation:
     """Present CH^j of the complement as (degree-j monomials) / (assumption subgroup).
 
-    Returns the presentation together with the certificate describing how the
-    quotient relates to the true Chow group.
+    certificate() says how this quotient relates to the true Chow group.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -237,8 +234,7 @@ def complement_group(
     rows = _relation_rows(model, j, assumption)
     basis = model.ambient.monomial_basis(j)
     names = tuple(model.ambient.monomial_str(e) for e in basis)
-    group = AbelianPresentation(names, IntegerMatrix(rows, cols=len(basis)))
-    return group, _certificate(model, j, assumption)
+    return AbelianPresentation(names, IntegerMatrix(rows, cols=len(basis)))
 
 
 @dataclass(frozen=True)
@@ -274,8 +270,8 @@ def closed_form_check(d1: int, d2: int) -> ClosedFormReport:
     g, m, n = bezout(d1, d2)
     model = ComplementModel(AmbientSpace((1, 3)), (d1, d2))
     naive = PushforwardAssumption.naive()
-    ch1 = complement_group(model, 1, naive)[0].invariant_factors()
-    ch2 = complement_group(model, 2, naive)[0].invariant_factors()
+    ch1 = complement_group(model, 1, naive).invariant_factors()
+    ch2 = complement_group(model, 2, naive).invariant_factors()
     ch1_expected = tuple(f for f in (gcd(d1, d2), lcm(d1, d2)) if f != 1)
     ch2_expected = tuple(f for f in (g, d2 * d2 // g) if f != 1)
     return ClosedFormReport(

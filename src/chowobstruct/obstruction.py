@@ -27,7 +27,7 @@ from enum import Enum
 
 from .abelian import GroupElement, InfiniteGroupError
 from .chow import AmbientMismatchError, ChowClass, class_str, cup, reduce_mod2
-from .complement import ComplementModel, Direction, PushforwardAssumption, complement_group
+from .complement import ComplementModel, Direction, PushforwardAssumption, certificate, complement_group
 from .steenrod import sq2
 
 UNVERIFIED_HYPOTHESES = (
@@ -91,12 +91,10 @@ def sq2_descends(model: ComplementModel) -> bool:
     as the executable check of that argument.
     """
     naive = PushforwardAssumption.naive()
-    deg2, _ = complement_group(model, 2, naive)
-    deg3, _ = complement_group(model, 3, naive)
-    quotient = deg3.tensor_mod2()
+    quotient = complement_group(model, 3, naive).tensor_mod2()
     return all(
         quotient.element(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords()).is_zero()
-        for rel in deg2.relations.entries
+        for rel in complement_group(model, 2, naive).relations.entries
     )
 
 
@@ -122,13 +120,13 @@ def decide(
 
     th = theta(pair)
     coords = th.coords()
-    naive_group, naive_cert = complement_group(model, 3, PushforwardAssumption.naive())
-    naive_mod2 = naive_group.tensor_mod2()
+    naive = PushforwardAssumption.naive()
+    naive_mod2 = complement_group(model, 3, naive).tensor_mod2()
     naive_zero = naive_mod2.element(coords).is_zero()
-
-    # naive and nori share their relations, and so the mod-2 quotient and its HNF
-    assm_group, assm_cert = complement_group(model, 3, assumption)
-    assm_mod2 = naive_mod2 if assm_group == naive_group else assm_group.tensor_mod2()
+    if assumption.presents_divisor_multiples:
+        assm_mod2 = naive_mod2
+    else:
+        assm_mod2 = complement_group(model, 3, assumption).tensor_mod2()
     assm_image = assm_mod2.element(coords)
     assm_zero = assm_image.is_zero()
 
@@ -167,8 +165,8 @@ def decide(
         "assumption": assumption.label(),
         "direction": assumption.direction.value,
         "certificates": {
-            "naive": naive_cert.as_dict(),
-            "assumption": assm_cert.as_dict(),
+            "naive": certificate(model, 3, naive).as_dict(),
+            "assumption": certificate(model, 3, assumption).as_dict(),
         },
         "naive_theta_zero": naive_zero,
         "assumption_theta_zero": assm_zero,
@@ -208,8 +206,8 @@ def classify_all(
     if assumption is None:
         assumption = PushforwardAssumption.naive()
     naive = PushforwardAssumption.naive()
-    g1, _ = complement_group(model, 1, naive)
-    g2, _ = complement_group(model, 2, naive)
+    g1 = complement_group(model, 1, naive)
+    g2 = complement_group(model, 2, naive)
     if not (g1.is_finite() and g2.is_finite()):
         raise InfiniteGroupError(
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"

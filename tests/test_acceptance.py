@@ -52,8 +52,8 @@ def test_criterion_1_closed_form_sweep():
         for d1, d2 in SWEEP:
             model = ComplementModel(P1xP3, (d1, d2))
             g = math.gcd(d1, d2)
-            ch1 = complement_group(model, 1, NAIVE)[0].invariant_factors()
-            ch2 = complement_group(model, 2, NAIVE)[0].invariant_factors()
+            ch1 = complement_group(model, 1, NAIVE).invariant_factors()
+            ch2 = complement_group(model, 2, NAIVE).invariant_factors()
             assert ch1 == tuple(f for f in (g, math.lcm(d1, d2)) if f != 1)
             assert ch2 == tuple(f for f in (g, d2 * d2 // g) if f != 1)
             assert closed_form_check(d1, d2).ok
@@ -204,8 +204,8 @@ def test_criterion_7_property_suites():
 
         # 200 random lift perturbations leave decide unchanged
         model34 = ComplementModel(P1xP3, (3, 4))
-        rel1 = complement_group(model34, 1, NAIVE)[0].relations.entries
-        rel2 = complement_group(model34, 2, NAIVE)[0].relations.entries
+        rel1 = complement_group(model34, 1, NAIVE).relations.entries
+        rel2 = complement_group(model34, 2, NAIVE).relations.entries
         base34 = decide(
             model34,
             ChernPair(

@@ -234,9 +234,11 @@ CUSTOM_SPEC = {"ambient": "1,3", "degree": 3, "direction": "contains_image", "ge
         (None, {k: v for k, v in CUSTOM_SPEC.items() if k != "direction"}),
         (None, [CUSTOM_SPEC]),
         (None, dict(CUSTOM_SPEC, generators=["x2^3", 5])),
+        # a JSON true passes isinstance(value, int); read as 1, it made a degree-1 subgroup
+        (None, dict(CUSTOM_SPEC, degree=True, generators=["x2"])),
     ],
     ids=["not-an-object", "no-generators", "relations-not-a-list",
-         "custom-no-direction", "custom-list", "custom-number-generator"],
+         "custom-no-direction", "custom-list", "custom-number-generator", "custom-boolean-degree"],
 )
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, presentation, custom):
     if presentation is not None:

@@ -10,6 +10,7 @@ from chowobstruct.complement import (
     InapplicableAssumptionError,
     PushforwardAssumption,
     Status,
+    certificate,
     closed_form_check,
     complement_group,
 )
@@ -26,7 +27,8 @@ def model34():
 
 
 def test_degree1_group():
-    group, cert = complement_group(model34(), 1, NAIVE)
+    group = complement_group(model34(), 1, NAIVE)
+    cert = certificate(model34(), 1, NAIVE)
     # Z/3 + Z/4 in canonical form
     assert group.invariant_factors() == (12,)
     assert cert.status == Status.EXACT
@@ -36,27 +38,30 @@ def test_degree1_group():
 
 
 def test_degree2_group():
-    group, cert = complement_group(model34(), 2, NAIVE)
+    group = complement_group(model34(), 2, NAIVE)
+    cert = certificate(model34(), 2, NAIVE)
     assert group.invariant_factors() == (16,)
     assert cert.status == Status.EXACT
     assert group.relations.to_lists() == [[4, 0], [3, 4]]
 
 
 def test_degree3_witness_quotient():
-    group, cert = complement_group(model34(), 3, EVEN)
+    group = complement_group(model34(), 3, EVEN)
+    cert = certificate(model34(), 3, EVEN)
     assert group.invariant_factors() == (2,)
     assert cert.status == Status.ASSUMED_CONTAINS
     assert group.generator_names == ("x1*x2^2", "x2^3")
 
 
 def test_degree0_group():
-    group, cert = complement_group(model34(), 0, NAIVE)
+    group = complement_group(model34(), 0, NAIVE)
+    cert = certificate(model34(), 0, NAIVE)
     assert group.invariant_factors() == (0,)
     assert cert.status == Status.EXACT
 
 
 def test_restrict_xi_tau_has_order_four():
-    group, _ = complement_group(model34(), 2, NAIVE)
+    group = complement_group(model34(), 2, NAIVE)
     e = group.element(parse_class(P1xP3, "x1*x2").coords())
     # brute force against the presentation <x1*x2, x2^2 | (4,0), (3,4)>
     brute = next(k for k in range(1, 17) if (k * e).is_zero())
@@ -66,13 +71,13 @@ def test_restrict_xi_tau_has_order_four():
 
 
 def test_restrict_hypersurface_class_is_zero():
-    group, _ = complement_group(model34(), 1, NAIVE)
+    group = complement_group(model34(), 1, NAIVE)
     e = group.element(parse_class(P1xP3, "3*x1 + 4*x2").coords())
     assert e.is_zero()
 
 
 def test_restrict_xi_tau_squared_survives_witness():
-    group, _ = complement_group(model34(), 3, EVEN)
+    group = complement_group(model34(), 3, EVEN)
     e = group.element(parse_class(P1xP3, "x1*x2^2").coords())
     assert not e.is_zero()
     assert e.order() == 2
@@ -83,7 +88,7 @@ def test_restrict_is_additive():
     model = model34()
     for j in (1, 2, 3):
         basis = P1xP3.monomial_basis(j)
-        group, _ = complement_group(model, j)
+        group = complement_group(model, j)
         for _ in range(20):
             a = ChowClass(P1xP3, j, {e: rng.randint(-5, 5) for e in basis})
             b = ChowClass(P1xP3, j, {e: rng.randint(-5, 5) for e in basis})
@@ -98,7 +103,7 @@ def test_closed_form_34():
     assert report.ch2_factors == (16,)
     assert report.xi_tau_image == (1, 4)
     # the reported image has the order of x1*x2 in the degree-2 quotient
-    group, _ = complement_group(model34(), 2, NAIVE)
+    group = complement_group(model34(), 2, NAIVE)
     assert group.element(parse_class(P1xP3, "x1*x2").coords()).order() == 4
 
 
@@ -128,7 +133,7 @@ def test_p4_family_quotients():
     for d in (5, 48, 125):
         model = ComplementModel(P4, (d,))
         for j in (1, 2, 3):
-            group, _ = complement_group(model, j, NAIVE)
+            group = complement_group(model, j, NAIVE)
             assert group.invariant_factors() == (d,)
             # generated by the image of x1^j
             assert group.element((1,)).order() == d
@@ -139,14 +144,14 @@ def test_monotonicity_of_quotients():
     rng = random.Random(101)
     model = model34()
     for j in (2, 3):
-        naive_group, _ = complement_group(model, j, NAIVE)
+        naive_group = complement_group(model, j, NAIVE)
         basis = P1xP3.monomial_basis(j)
         extra = ChowClass(P1xP3, j, {e: rng.randint(-3, 3) for e in basis})
         bigger_rows = [
             ChowClass.from_coords(P1xP3, j, row) for row in naive_group.relations.entries
         ] + [extra]
         custom = PushforwardAssumption.custom(bigger_rows, Direction.CONTAINS_IMAGE, j)
-        big_group, _ = complement_group(model, j, custom)
+        big_group = complement_group(model, j, custom)
         for _ in range(30):
             coords = tuple(rng.randint(-6, 6) for _ in basis)
             if naive_group.element(coords).is_zero():
@@ -154,17 +159,19 @@ def test_monotonicity_of_quotients():
 
 
 def test_nori_certificates():
-    group, cert = complement_group(model34(), 3, NORI)
-    naive_group, _ = complement_group(model34(), 3, NAIVE)
+    group = complement_group(model34(), 3, NORI)
+    cert = certificate(model34(), 3, NORI)
+    naive_group = complement_group(model34(), 3, NAIVE)
     assert group.relations == naive_group.relations
     assert cert.status == Status.ASSUMED_EXACT
-    _, cert2 = complement_group(model34(), 2, NORI)
+    cert2 = certificate(model34(), 2, NORI)
     assert cert2.status == Status.EXACT
 
 
 def test_not_ample_flagged():
     model = ComplementModel(P1xP3, (0, 4))
-    group, cert = complement_group(model, 1, NAIVE)
+    group = complement_group(model, 1, NAIVE)
+    cert = certificate(model, 1, NAIVE)
     assert cert.status == Status.UPPER_BOUND_ONLY
     assert "ample" in cert.note
     assert group.invariant_factors() == (4, 0)
@@ -183,7 +190,8 @@ def test_inapplicable_assumptions():
 
 def test_even_degree_preset_p4():
     model = ComplementModel(P4, (48,))
-    group, cert = complement_group(model, 3, EVEN)
+    group = complement_group(model, 3, EVEN)
+    cert = certificate(model, 3, EVEN)
     assert group.invariant_factors() == (2,)
     assert cert.status == Status.ASSUMED_CONTAINS
 
@@ -192,8 +200,8 @@ def test_custom_assumption_directions():
     gens = (parse_class(P1xP3, "2*x1*x2^2"),)
     contains = PushforwardAssumption.custom(gens, "contains_image", 3)
     contained = PushforwardAssumption.custom(gens, "contained_in_image", 3)
-    _, cert_a = complement_group(model34(), 3, contains)
-    _, cert_b = complement_group(model34(), 3, contained)
+    cert_a = certificate(model34(), 3, contains)
+    cert_b = certificate(model34(), 3, contained)
     assert cert_a.status == Status.ASSUMED_CONTAINS
     assert cert_b.status == Status.UPPER_BOUND_ONLY
     with pytest.raises(InapplicableAssumptionError):
@@ -205,8 +213,91 @@ def test_naive_degree1_matches_componentwise_closed_form():
     for d1 in range(1, 8):
         for d2 in range(1, 8):
             model = ComplementModel(P1xP3, (d1, d2))
-            group, _ = complement_group(model, 1, NAIVE)
+            group = complement_group(model, 1, NAIVE)
             expected = tuple(
                 f for f in (math.gcd(d1, d2), math.lcm(d1, d2)) if f != 1
             )
             assert group.invariant_factors() == expected
+
+
+# Applicability and certificate of every assumption on the five ambients of
+# total dimension 4, in degrees j = 0..5, recorded while applicability was
+# still a method of PushforwardAssumption.  One token per degree: the status
+# (E EXACT, U UPPER_BOUND_ONLY, A ASSUMED_EXACT, C ASSUMED_CONTAINS), prefixed
+# with "-" where complement_group raises InapplicableAssumptionError.
+_DIM4_MODELS = {(4,): (48,), (1, 3): (3, 4), (2, 2): (2, 3), (1, 1, 2): (1, 2, 3), (1, 1, 1, 1): (1, 1, 1, 1)}
+_APPLICABILITY = {
+    ("naive", (4,)): "E E E U U U",
+    ("naive", (1, 3)): "E E E U U U",
+    ("naive", (2, 2)): "E E E U U U",
+    ("naive", (1, 1, 2)): "E E E U U U",
+    ("naive", (1, 1, 1, 1)): "E E E U U U",
+    ("nori", (4,)): "E E E A A A",
+    ("nori", (1, 3)): "E E E A A A",
+    ("nori", (2, 2)): "E E E A A A",
+    ("nori", (1, 1, 2)): "E E E A A A",
+    ("nori", (1, 1, 1, 1)): "E E E A A A",
+    ("even-degree", (4,)): "-C -C -C C -C -C",
+    ("even-degree", (1, 3)): "-C -C -C C -C -C",
+    ("even-degree", (2, 2)): "-C -C -C -C -C -C",
+    ("even-degree", (1, 1, 2)): "-C -C -C -C -C -C",
+    ("even-degree", (1, 1, 1, 1)): "-C -C -C -C -C -C",
+    ("contains", (4,)): "-C -C -C C -C -C",
+    ("contains", (1, 3)): "-C -C -C C -C -C",
+    ("contains", (2, 2)): "-C -C -C C -C -C",
+    ("contains", (1, 1, 2)): "-C -C -C C -C -C",
+    ("contains", (1, 1, 1, 1)): "-C -C -C C -C -C",
+    ("contained", (4,)): "-U -U -U U -U -U",
+    ("contained", (1, 3)): "-U -U -U U -U -U",
+    ("contained", (2, 2)): "-U -U -U U -U -U",
+    ("contained", (1, 1, 2)): "-U -U -U U -U -U",
+    ("contained", (1, 1, 1, 1)): "-U -U -U U -U -U",
+    ("empty", (4,)): "-C -C -C C -C -C",
+    ("empty", (1, 3)): "-C -C -C C -C -C",
+    ("empty", (2, 2)): "-C -C -C C -C -C",
+    ("empty", (1, 1, 2)): "-C -C -C C -C -C",
+    ("empty", (1, 1, 1, 1)): "-C -C -C C -C -C",
+    ("mismatch", (4,)): "-C -C -C -C -C -C",
+    ("mismatch", (1, 3)): "-C -C -C -C -C -C",
+    ("mismatch", (2, 2)): "-C -C -C -C -C -C",
+    ("mismatch", (1, 1, 2)): "-C -C -C -C -C -C",
+    ("mismatch", (1, 1, 1, 1)): "-C -C -C -C -C -C",
+}
+_STATUS_TOKENS = {Status.EXACT: "E", Status.UPPER_BOUND_ONLY: "U", Status.ASSUMED_EXACT: "A", Status.ASSUMED_CONTAINS: "C"}
+
+
+def _dim4_assumptions(ambient):
+    # custom subgroups generated by twice the first degree-3 monomial; "empty"
+    # has no generators, "mismatch" declares degree 2 for degree-3 generators
+    basis3 = ambient.monomial_basis(3)
+    gens = (ChowClass.from_coords(ambient, 3, (2,) + (0,) * (len(basis3) - 1)),)
+    return {
+        "naive": NAIVE,
+        "nori": NORI,
+        "even-degree": EVEN,
+        "contains": PushforwardAssumption.custom(gens, Direction.CONTAINS_IMAGE, 3),
+        "contained": PushforwardAssumption.custom(gens, Direction.CONTAINED_IN_IMAGE, 3),
+        "empty": PushforwardAssumption.custom((), Direction.CONTAINS_IMAGE, 3),
+        "mismatch": PushforwardAssumption.custom(gens, Direction.CONTAINS_IMAGE, 2),
+    }
+
+
+def test_applicability_and_certificate_table():
+    got = {}
+    for dims, degrees in _DIM4_MODELS.items():
+        model = ComplementModel(AmbientSpace(dims), degrees)
+        for name, assumption in _dim4_assumptions(model.ambient).items():
+            tokens = []
+            for j in range(6):
+                try:
+                    complement_group(model, j, assumption)
+                    mark = ""
+                except InapplicableAssumptionError:
+                    mark = "-"
+                tokens.append(mark + _STATUS_TOKENS[certificate(model, j, assumption).status])
+            got[name, dims] = " ".join(tokens)
+            if name == "empty":
+                # no relations in degree 3: the free group on the degree-3 monomials
+                group = complement_group(model, 3, assumption)
+                assert group.invariant_factors() == (0,) * len(model.ambient.monomial_basis(3))
+    assert got == _APPLICABILITY

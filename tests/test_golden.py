@@ -9,7 +9,9 @@ invariant-factor memo were removed; the ``snf`` entries after the first and the
 elimination was rewritten to carry its transforms as appended blocks; the
 naive, nori and second even-degree ``classify`` tables were recorded while
 ``classify_all`` still ran ``decide`` once per row, before it was made to decide
-once per parity class.  A refactor that changes any verdict,
+once per parity class; the nori ``complement`` entries at j = 2 and 3 and the
+non-ample one were recorded while ``complement_group`` still returned its
+certificate alongside the presentation.  A refactor that changes any verdict,
 justification, class string, JSON key order or row order changes a hash here.
 
 To re-record after an intended output change, print
@@ -67,6 +69,10 @@ _BASE_COMMANDS = (
     ("classify", "--ambient", "1,3", "--degree", "2,2", "--assumption", "naive"),
     ("classify", "--ambient", "1,3", "--degree", "2,2", "--assumption", "nori"),
     ("classify", "--ambient", "1,3", "--degree", "2,4", "--assumption", "even-degree"),
+    # certificates: EXACT and ASSUMED_EXACT under nori, and the non-ample note
+    ("complement", "--ambient", "1,3", "--degree", "3,4", "--j", "2", "--assumption", "nori"),
+    ("complement", "--ambient", "1,3", "--degree", "3,4", "--j", "3", "--assumption", "nori"),
+    ("complement", "--ambient", "1,3", "--degree", "0,4", "--j", "2"),
 )
 
 # Every command in text and in --json.
@@ -150,6 +156,12 @@ GOLDEN = (
     (0, "8ce77bad7e0bb488d44ec7dc46a3d4c8304b3b378febbc7fcbdc40ca8dfac148"),
     (0, "a6d95a09f6f6e726c8505f3de3f49f0c483c67747cc607b938245167bd4c8c10"),
     (0, "b6c589fd4c54a2fccbe56f7b28c1b09cb02c8834d26fe97551806b54d2e2a1ba"),
+    (0, "3021ffd0e4d146fb9ad6979e5decfbb2798a10b8e90ed63ddff887f401a80875"),
+    (0, "25cb6431c247c07ebcabdf9b204ecfbe223495906394741b1ba3d611a4d572aa"),
+    (0, "cce877e9e07649af9b155a5644aed58acd3f1d721f010121f0f8bc2bd8d9fcec"),
+    (0, "95ab2d63beb9669ae6e0fee1908947589deb16d4084c2fa5142c418a28d1de1c"),
+    (0, "5767a32a7aec6b9739956143a5f6ce862ac028d08f9e2bcb65a2ce6480689e8d"),
+    (0, "c573c9c6fdf4469543dff156cf3bd61b215e89d25abbdb4babf3a2d25cfd8fa8"),
 )
 
 

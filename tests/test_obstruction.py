@@ -118,7 +118,7 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     # a user-vouched subgroup inside the pushforward image that is larger than
     # the divisor multiples can settle a pair the naive quotient cannot
     model = ComplementModel(P1xP3, (3, 4))
-    naive_rows = complement_group(model, 3, NAIVE)[0].relations.entries
+    naive_rows = complement_group(model, 3, NAIVE).relations.entries
     gens = tuple(ChowClass.from_coords(P1xP3, 3, row) for row in naive_rows)
     gens = gens + (parse_class(P1xP3, "x2^3"),)
     custom = PushforwardAssumption.custom(gens, "contained_in_image", 3)
@@ -135,20 +135,27 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     "assumption, reductions", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
 )
 def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, reductions):
-    # naive and nori present the same degree-3 group, so decide() reduces it once
-    calls = []
+    # naive and nori present the same degree-3 group, so decide() builds it and
+    # reduces it mod 2 once
+    reduced, built = [], []
     tensor_mod2 = AbelianPresentation.tensor_mod2
 
     def counting_tensor_mod2(group):
-        calls.append(group)
+        reduced.append(group)
         return tensor_mod2(group)
+
+    def counting_complement_group(*args):
+        built.append(args)
+        return complement_group(*args)
 
     model = ComplementModel(P1xP3, (3, 4))
     monkeypatch.setattr(AbelianPresentation, "tensor_mod2", counting_tensor_mod2)
+    monkeypatch.setattr(obstruction, "complement_group", counting_complement_group)
     report = decide(model, pair_on(P1xP3, "0", "x1*x2"), assumption)
-    assert len(calls) == reductions
+    assert len(reduced) == reductions
+    assert len(built) == reductions
     # the image still lies in the reduction of the assumption's own group
-    assert report.theta_image.group == tensor_mod2(complement_group(model, 3, assumption)[0])
+    assert report.theta_image.group == tensor_mod2(complement_group(model, 3, assumption))
 
 
 def test_decide_rejects_foreign_pair():
@@ -185,8 +192,8 @@ def test_decide_soundness_directions():
 def test_decide_lift_independence_naive():
     rng = random.Random(109)
     model = ComplementModel(P1xP3, (3, 4))
-    rel1 = complement_group(model, 1, NAIVE)[0].relations.entries
-    rel2 = complement_group(model, 2, NAIVE)[0].relations.entries
+    rel1 = complement_group(model, 1, NAIVE).relations.entries
+    rel2 = complement_group(model, 2, NAIVE).relations.entries
     base = decide(model, pair_on(P1xP3, "0", "x1*x2"), NAIVE)
     for _ in range(60):
         shift1 = [sum(rng.randint(-2, 2) * r[i] for r in rel1) for i in range(2)]
@@ -244,8 +251,8 @@ def test_classify_headline_table():
 def test_classify_row_count_matches_factors():
     model = ComplementModel(P4, (6,))
     rows = classify_all(model, NAIVE)
-    g1 = complement_group(model, 1, NAIVE)[0].order()
-    g2 = complement_group(model, 2, NAIVE)[0].order()
+    g1 = complement_group(model, 1, NAIVE).order()
+    g2 = complement_group(model, 2, NAIVE).order()
     assert len(rows) == g1 * g2 == 36
 
 
@@ -271,8 +278,8 @@ def test_classify_infinite_group_guard():
 def test_classify_row_order():
     model = ComplementModel(P1xP3, (3, 4))
     rows = classify_all(model, EVEN)
-    g1, _ = complement_group(model, 1, NAIVE)
-    g2, _ = complement_group(model, 2, NAIVE)
+    g1 = complement_group(model, 1, NAIVE)
+    g2 = complement_group(model, 2, NAIVE)
     labels1 = [class_str(ChowClass.from_coords(P1xP3, 1, e.coords)) for e in g1.elements()]
     labels2 = [class_str(ChowClass.from_coords(P1xP3, 2, e.coords)) for e in g2.elements()]
     assert [(r.c1, r.c2) for r in rows] == [(a, b) for a in labels1 for b in labels2]
