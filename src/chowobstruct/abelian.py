@@ -102,12 +102,6 @@ class AbelianPresentation:
     def is_finite(self) -> bool:
         return 0 not in self.invariant_factors()
 
-    def order(self) -> int:
-        """Number of elements, or 0 for an infinite group."""
-        if not self.is_finite():
-            return 0
-        return math.prod(self.invariant_factors())
-
     def describe(self) -> str:
         """Invariant factors as a direct-sum string, e.g. 'Z/3 ⊕ Z/4' or 'Z/2 ⊕ Z'."""
         factors = self.invariant_factors()
@@ -120,9 +114,6 @@ class AbelianPresentation:
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, coords)
-
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ngens)
 
     def tensor_mod2(self) -> "AbelianPresentation":
         """The mod-2 reduction: same generators, relations extended by 2*(each generator)."""
@@ -209,26 +200,6 @@ class GroupElement:
             w = [k * x - q * y for x, y in zip(w, row)]
             result *= k
         return 0 if any(w) else result
-
-    def _check_same_group(self, other: "GroupElement"):
-        if not isinstance(other, GroupElement) or other.group != self.group:
-            raise ValueError("elements belong to different groups")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same_group(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check_same_group(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-a for a in self.coords))
-
-    def __rmul__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, tuple(k * a for a in self.coords))
-
-    __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
         return (

@@ -117,13 +117,6 @@ class ChowClass:
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self._items)
 
-    def coefficient(self, exps: Sequence[int]) -> int:
-        exps = tuple(exps)
-        for e, c in self._items:
-            if e == exps:
-                return c
-        return 0
-
     def is_zero(self) -> bool:
         return not self._items
 
@@ -144,17 +137,6 @@ class ChowClass:
         for e, c in other._items:
             out[e] = out.get(e, 0) + c
         return ChowClass(self.ambient, self.degree, out)
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self + (-1) * other
-
-    def __neg__(self) -> "ChowClass":
-        return (-1) * self
-
-    def __rmul__(self, k: int) -> "ChowClass":
-        return ChowClass(self.ambient, self.degree, {e: k * c for e, c in self._items})
-
-    __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,9 +199,10 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
     """Parse a class literal such as '3*x1 + 4*x2' or 'x1*x2^2'.
 
     xi and the Greek letters ξ, τ are accepted as aliases for x1 and x2.
-    Monomials that exceed a truncation bound are zero in the ring and are
-    dropped (their written degree still participates in degree inference).
-    Pass degree explicitly to parse '0' at a specific codimension.
+    Monomials that exceed a truncation bound, and terms with coefficient 0,
+    are dropped, but a term that names a variable still contributes its
+    written degree to degree inference.  Pass degree explicitly to parse a
+    bare '0' at a specific codimension.
     """
     src = text.strip()
     for greek, name in _ALIASES.items():
@@ -247,6 +230,7 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
             continue
         coeff = sign
         exps = [0] * ambient.k
+        named = False
         for factor in tok.split("*"):
             factor = factor.strip()
             if not factor:
@@ -267,8 +251,10 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
             if not 0 <= idx < ambient.k:
                 raise ValueError(f"{name} is not a factor of {ambient}")
             exps[idx] += int(m.group(3) or 1)
-        if coeff:
+            named = True
+        if coeff or named:
             degrees_seen.add(sum(exps))
+        if coeff:
             terms.append((tuple(exps), coeff))
         sign = 1
         expect_term = False

@@ -84,10 +84,9 @@ def _matrix_json(m: IntegerMatrix) -> list[list[str]]:
 def _matrix_text(m: IntegerMatrix) -> str:
     if m.rows == 0:
         return "(empty)"
-    widths = [max(len(str(m.entry(i, j))) for i in range(m.rows)) for j in range(m.cols)]
+    widths = [max(len(str(row[j])) for row in m.entries) for j in range(m.cols)]
     return "\n".join(
-        "[ " + "  ".join(str(m.entry(i, j)).rjust(widths[j]) for j in range(m.cols)) + " ]"
-        for i in range(m.rows)
+        "[ " + "  ".join(str(x).rjust(w) for x, w in zip(row, widths)) + " ]" for row in m.entries
     )
 
 

@@ -6,14 +6,14 @@ CH^j(X) = CH^j(Y) / im(pushforward from Z).  The pushforward image is not
 directly computable from the multidegree, so each quotient is taken against a
 declared subgroup S_j together with an explicit containment direction:
 
-* the divisor-multiple subgroup (kind 'naive-divisor') is generated by
+* the divisor-multiple subgroup (kind 'naive') is generated by
   z * (degree j-1 monomials) and always sits INSIDE the pushforward image, by
   the projection formula, so its quotient surjects onto CH^j(X): vanishing
   there certifies vanishing in CH^j(X);
 * an 'even-degree' subgroup is asserted to CONTAIN the pushforward image, so
   CH^j(X) surjects onto its quotient (a witness quotient): nonvanishing there
   certifies nonvanishing in CH^j(X);
-* 'nori-exact' asserts the divisor-multiple subgroup IS the image;
+* 'nori' asserts the divisor-multiple subgroup IS the image;
 * custom subgroups carry their own direction flag and the caller vouches for
   them.
 
@@ -69,7 +69,6 @@ _EVEN_DEGREE_GENERATORS: dict[tuple[int, ...], tuple[str, ...]] = {
     (1, 3): ("2*x1*x2^2", "x2^3"),
     (4,): ("2*x1^3",),
 }
-EVEN_DEGREE_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,7 @@ class PushforwardAssumption:
 
     @staticmethod
     def even_degree() -> "PushforwardAssumption":
-        return PushforwardAssumption(
-            AssumptionKind.EVEN_DEGREE, Direction.CONTAINS_IMAGE, EVEN_DEGREE_DEGREE
-        )
+        return PushforwardAssumption(AssumptionKind.EVEN_DEGREE, Direction.CONTAINS_IMAGE, 3)
 
     @staticmethod
     def nori() -> "PushforwardAssumption":
@@ -191,14 +188,13 @@ def _relation_rows(
     """The assumption's subgroup generators in the degree-j basis; raises where it does not apply."""
     if assumption.presents_divisor_multiples:
         return _naive_relation_rows(model, j)
-    if assumption.kind == AssumptionKind.EVEN_DEGREE:
-        gens = _EVEN_DEGREE_GENERATORS.get(model.ambient.factor_dims)
-        if j == EVEN_DEGREE_DEGREE and gens is not None:
-            return tuple(parse_class(model.ambient, g).coords() for g in gens)
-    elif j == assumption.applicable_degree and all(
-        g.ambient == model.ambient and g.degree == j for g in assumption.custom_generators
-    ):
-        return tuple(g.coords() for g in assumption.custom_generators)
+    if j == assumption.applicable_degree:
+        if assumption.kind == AssumptionKind.EVEN_DEGREE:
+            gens = _EVEN_DEGREE_GENERATORS.get(model.ambient.factor_dims)
+            if gens is not None:
+                return tuple(parse_class(model.ambient, g).coords() for g in gens)
+        elif all(g.ambient == model.ambient and g.degree == j for g in assumption.custom_generators):
+            return tuple(g.coords() for g in assumption.custom_generators)
     raise InapplicableAssumptionError(
         f"assumption {assumption.label()!r} does not apply to degree {j} of {model.ambient}"
     )

@@ -58,14 +58,6 @@ class IntegerMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntegerMatrix is immutable")
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def transpose(self) -> "IntegerMatrix":
-        if self.rows == 0:
-            return IntegerMatrix(([] for _ in range(self.cols)), cols=0)
-        return IntegerMatrix(zip(*self.entries), cols=self.rows)
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -74,9 +66,6 @@ class IntegerMatrix:
         for arow in self.entries:
             out.append([sum(arow[k] * other.entries[k][j] for k in range(self.cols)) for j in range(cols)])
         return IntegerMatrix(out, cols=cols)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -109,7 +98,7 @@ class SnfDecomposition:
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        return self.s.diagonal()
+        return tuple(row[i] for i, row in enumerate(self.s.entries[: self.s.cols]))
 
 
 def _smith_eliminate(rows: list[list[int]], m: int, n: int) -> None:

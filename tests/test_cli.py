@@ -82,6 +82,17 @@ def test_sq2_subcommand(capsys):
     assert out.strip() == "x1*x2^2"
 
 
+def test_zero_term_keeps_its_written_degree(capsys):
+    # a zero coefficient drops the term, like a truncated monomial, but not its degree
+    data, _ = run_json(capsys, "cup", "--ambient", "1,3", "--a", "0*x2", "--b", "x2")
+    assert data == {"degree": "2", "result": "0"}
+    data, _ = run_json(capsys, "sq2", "--ambient", "1,3", "--class", "0*x1*x2")
+    assert data == {"degree": "3", "result": "0"}
+    code, _, err = run_cli(capsys, "sq2", "--ambient", "1,3", "--class", "x1^2 + 0*x1")
+    assert code == 2
+    assert "mixed degrees [1, 2]" in err
+
+
 def test_complement_subcommand(capsys):
     data, _ = run_json(
         capsys,

@@ -1,6 +1,9 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+module-level function, class and constant is read or imported somewhere in
+the package.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
+`__init__.py` is skipped as an importer and as a definer: its imports are the
+package's re-exports, and they count as reads of the names they export.
 """
 
 import ast
@@ -26,6 +29,27 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level names defined in one of the sources and never read or imported in any."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module != "__init__":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.append((module, node.name))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nc()\n"
     assert unused_imports(source) == ["os", "a"]
@@ -40,3 +64,18 @@ def test_every_imported_name_is_read():
         if (names := unused_imports(p.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_unread_definitions_are_found():
+    sources = {
+        "a": "X = 1\nY: int = 2\ndef f():\n    return X\nclass C:\n    def m(self):\n        pass\n",
+        "b": "from .a import C\n",
+        "__init__": "__version__ = '0'\n",
+    }
+    assert unread_definitions(sources) == ["a.Y", "a.f"]
+
+
+def test_every_definition_is_read_or_imported():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert "__init__" in sources
+    assert unread_definitions(sources) == []

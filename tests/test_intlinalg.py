@@ -29,7 +29,7 @@ def check_snf(mat: IntegerMatrix):
     for i in range(dec.s.rows):
         for j in range(dec.s.cols):
             if i != j:
-                assert dec.s.entry(i, j) == 0
+                assert dec.s.entries[i][j] == 0
     return dec
 
 
@@ -89,7 +89,8 @@ def test_snf_random_sweep():
         mat = random_matrix(rng)
         dec = check_snf(mat)
         # transposing swaps the reduction path but not the invariant factors
-        assert smith_normal_form(mat.transpose()).diagonal == dec.diagonal
+        transposed = IntegerMatrix(zip(*mat.entries), cols=mat.rows)
+        assert smith_normal_form(transposed).diagonal == dec.diagonal
 
 
 def test_snf_diagonal_matches_determinantal_divisors():
@@ -167,7 +168,7 @@ def test_hnf_shape_random():
         assert pivots == sorted(pivots) and len(pivots) == len(set(pivots))
         for r, pj in enumerate(pivots):
             for i in range(r):
-                assert 0 <= h.entry(i, pj) < h.entry(r, pj)
+                assert 0 <= h.entries[i][pj] < h.entries[r][pj]
 
 
 def test_lattice_contains_examples():
