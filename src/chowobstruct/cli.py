@@ -5,6 +5,12 @@ mathematical content in text or JSON.  JSON output is canonical: keys are
 sorted, every integer is a decimal string (so 53-bit consumers never corrupt
 large torsion orders), and parsing plus re-serializing reproduces the bytes.
 
+Every subcommand but `classify` returns its result for run() to print whole.
+`classify` writes its table as it is computed, one chunk per CH^1 coset, in
+the same bytes; nothing is written before the first chunk is ready, so a
+domain error is printed alone.  A reader that closes the pipe early (`| head`)
+ends the run quietly with exit code 0.
+
 Exit codes: 0 success, 1 domain error (infinite group, inapplicable
 assumption, unsupported dimension, ambient mismatch, a result integer too
 long to print), 2 usage error.
@@ -14,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .abelian import AbelianPresentation, InfiniteGroupError
 from .chow import (
@@ -37,7 +45,7 @@ from .intlinalg import IntegerMatrix, smith_normal_form
 from .obstruction import (
     ChernPair,
     DimensionUnsupportedError,
-    classify_all,
+    _sweep,
     decide,
 )
 from .steenrod import sq2
@@ -305,15 +313,37 @@ def _cmd_obstruct(args) -> dict | str:
     )
 
 
-def _cmd_classify(args) -> dict | str | list:
+def _cmd_classify(args) -> None:
+    """Write the table one CH^1 coset at a time, the header with the first block,
+    so that a domain error raised before it is printed alone.
+
+    Under --json the rows take the layout of dump_json(rows): sorted keys,
+    indent 2, and labels encoded by the same C encoder json.dumps uses.
+    """
     model = _model_from_args(args)
     assumption = _parse_assumption(args.assumption)
-    rows = classify_all(model, assumption)
+    labels2, cosets = _sweep(model, assumption)
     if args.json:
-        return [{"c1": r.c1, "c2": r.c2, "verdict": r.verdict.value} for r in rows]
-    lines = ["c1\tc2\tverdict"]
-    lines.extend(f"{r.c1}\t{r.c2}\t{r.verdict.value}" for r in rows)
-    return "\n".join(lines)
+        quote = encode_basestring_ascii
+        head, sep, end = "[\n", ",\n", "\n]\n"
+        lead, mid, rest = '  {\n    "c1": ', ',\n    "c2": ', ',\n    "verdict": "{}"\n  }}'
+        labels2 = [quote(label2) for label2 in labels2]
+    else:
+        quote = str
+        head, sep, end = "c1\tc2\tverdict\n", "", ""
+        lead, mid, rest = "", "\t", "\t{}\n"
+    # Every coset of one c1 parity yields the same column object, so its
+    # identity keys the row tails, formatted once per column.
+    tails = {}
+    for label1, column in cosets:
+        if id(column) not in tails:
+            tails[id(column)] = [label2 + rest.format(v.value) for label2, v in zip(labels2, column)]
+        prefix = lead + quote(label1) + mid
+        sys.stdout.write(head + prefix + (sep + prefix).join(tails[id(column)]))
+        head = sep
+    sys.stdout.write(end)
+    # a reader that closed the pipe is seen here, not at interpreter exit
+    sys.stdout.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,6 +449,12 @@ def run(argv: list[str]) -> int:
             PARSER.error(f"--{required} is required (directly or via --example)")
     try:
         result = args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does.  Point the descriptor at
+        # devnull so that the flush at exit stays quiet, and succeed as a
+        # complete write would have.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except DOMAIN_ERRORS as exc:
         return _domain_error(args, exc)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
@@ -426,6 +462,8 @@ def run(argv: list[str]) -> int:
             return _domain_error(args, OutputTooLargeError(f"result too large to print: {exc}"))
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
+    if result is None:  # the handler wrote its output itself
+        return 0
     if args.json:
         sys.stdout.write(dump_json(result))
     else:

@@ -201,7 +201,24 @@ def classify_all(
 
     theta, and with it the verdict, reads the lifts only mod 2, so decide()
     runs once per pair of coordinate parities: at most 2^(b1 + b2) times, where
-    b1 and b2 are the ranks of CH^1 and CH^2 of the ambient space.
+    b1 and b2 are the ranks of CH^1 and CH^2 of the ambient space.  The list is
+    built from the same sweep that `classify` streams one CH^1 coset at a time.
+    """
+    labels2, cosets = _sweep(model, assumption)
+    return [
+        ClassifyRow(c1=label1, c2=label2, verdict=verdict)
+        for label1, column in cosets
+        for label2, verdict in zip(labels2, column)
+    ]
+
+
+def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = None):
+    """(CH^2 labels, lazy iterator of (CH^1 label, verdict column)), one item per CH^1 coset.
+
+    The groups, the finite-group guard and the CH^2 lifts are built at call
+    time; the iterator runs decide() only at the first coset of each parity of
+    c1, on the first lift of each parity of c2.  A column lists one verdict per
+    CH^2 coset, and every coset of the same c1 parity yields the same list.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -217,15 +234,18 @@ def classify_all(
     lifts2 = [ChowClass.from_coords(model.ambient, 2, e2.coords) for e2 in elements2]
     labels2 = [class_str(lift2) for lift2 in lifts2]
     parities2 = [tuple(c % 2 for c in e2.coords) for e2 in elements2]
-    verdicts = {}
-    rows = []
-    for e1 in g1.elements():
-        lift1 = ChowClass.from_coords(model.ambient, 1, e1.coords)
-        label1 = class_str(lift1)
-        parity1 = tuple(c % 2 for c in e1.coords)
-        for lift2, label2, parity2 in zip(lifts2, labels2, parities2):
-            key = (parity1, parity2)
-            if key not in verdicts:
-                verdicts[key] = decide(model, ChernPair(lift1, lift2), assumption).verdict
-            rows.append(ClassifyRow(c1=label1, c2=label2, verdict=verdicts[key]))
-    return rows
+
+    def cosets():
+        columns = {}
+        for e1 in g1.elements():
+            lift1 = ChowClass.from_coords(model.ambient, 1, e1.coords)
+            parity1 = tuple(c % 2 for c in e1.coords)
+            if parity1 not in columns:
+                verdicts = {}
+                for lift2, parity2 in zip(lifts2, parities2):
+                    if parity2 not in verdicts:
+                        verdicts[parity2] = decide(model, ChernPair(lift1, lift2), assumption).verdict
+                columns[parity1] = [verdicts[parity2] for parity2 in parities2]
+            yield class_str(lift1), columns[parity1]
+
+    return labels2, cosets()
