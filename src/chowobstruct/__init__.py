@@ -2,7 +2,7 @@
 products of projective spaces, and the mod-2 obstruction Sq^2(c2) + c1*c2
 deciding algebraizability of rank-2 topological bundles on them."""
 
-from .abelian import AbelianPresentation, GroupElement, InfiniteGroupError, bezout
+from .abelian import AbelianPresentation, InfiniteGroupError, bezout
 from .chow import (
     AmbientMismatchError,
     AmbientSpace,
@@ -62,7 +62,6 @@ __all__ = [
     "DimensionUnsupportedError",
     "Direction",
     "ExactnessCertificate",
-    "GroupElement",
     "InapplicableAssumptionError",
     "InfiniteGroupError",
     "IntegerMatrix",

@@ -112,8 +112,30 @@ class AbelianPresentation:
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         return hermite_reduce(self.hnf(), coords)
 
-    def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, coords)
+    def is_zero(self, coords: Sequence[int]) -> bool:
+        return not any(self.canonical_coords(coords))
+
+    def element_order(self, coords: Sequence[int]) -> int:
+        """Least k >= 1 with k*coords = 0, or 0 if the element has infinite order.
+
+        Walks the Hermite basis of the relations: a pivot p meeting residual
+        coordinate w multiplies the order by p/gcd(p, w), and a coordinate that
+        no pivot clears means infinite order.
+        """
+        if len(coords) != self.ngens:
+            raise ValueError(f"coordinate length {len(coords)} != {self.ngens} generators")
+        w = list(coords)
+        result = 1
+        for row in self.hnf().entries:
+            pj = next((k for k, x in enumerate(row) if x), None)
+            if pj is None:
+                break
+            p = row[pj]
+            k = p // math.gcd(p, w[pj])
+            q = k * w[pj] // p
+            w = [k * x - q * y for x, y in zip(w, row)]
+            result *= k
+        return 0 if any(w) else result
 
     def tensor_mod2(self) -> "AbelianPresentation":
         """The mod-2 reduction: same generators, relations extended by 2*(each generator)."""
@@ -122,13 +144,14 @@ class AbelianPresentation:
         rows.extend(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
         return AbelianPresentation(self.generator_names, IntegerMatrix(rows, cols=n))
 
-    def elements(self) -> Iterator["GroupElement"]:
-        """Yield one representative per coset, breadth-first from zero.
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        """Yield one coordinate tuple per coset, breadth-first from zero.
 
         Representatives are found by repeatedly adding single generators, so
-        each coset is labelled by a smallest nonnegative generator combination;
-        the zero coset comes first and the order is deterministic.  Raises
-        InfiniteGroupError when a free generator is present.
+        each coset is named by a smallest nonnegative generator combination,
+        which reads as a label through `generator_names`; the zero coset comes
+        first and the order is deterministic.  Raises InfiniteGroupError when
+        a free generator is present.
         """
         if not self.is_finite():
             raise InfiniteGroupError(f"group {self.describe()} is infinite")
@@ -138,7 +161,7 @@ class AbelianPresentation:
         queue = deque([start])
         while queue:
             coords = queue.popleft()
-            yield GroupElement(self, coords)
+            yield coords
             for i in range(n):
                 nb = coords[:i] + (coords[i] + 1,) + coords[i + 1:]
                 key = self.canonical_coords(nb)
@@ -158,58 +181,3 @@ class AbelianPresentation:
 
     def __repr__(self) -> str:
         return f"AbelianPresentation({self.generator_names!r}, {self.relations.to_lists()!r})"
-
-
-class GroupElement:
-    """Element of an AbelianPresentation, stored as a raw coordinate vector."""
-
-    __slots__ = ("group", "coords")
-
-    def __init__(self, group: AbelianPresentation, coords: Sequence[int]):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != group.ngens:
-            raise ValueError(f"coordinate length {len(coords)} != {group.ngens} generators")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
-
-    def canonical(self) -> tuple[int, ...]:
-        return self.group.canonical_coords(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.canonical())
-
-    def order(self) -> int:
-        """Least k >= 1 with k*self = 0, or 0 if the element has infinite order.
-
-        Walks the Hermite basis of the relations: a pivot p meeting residual
-        coordinate w multiplies the order by p/gcd(p, w), and a coordinate that
-        no pivot clears means infinite order.
-        """
-        w = list(self.coords)
-        result = 1
-        for row in self.group.hnf().entries:
-            pj = next((k for k, x in enumerate(row) if x), None)
-            if pj is None:
-                break
-            p = row[pj]
-            k = p // math.gcd(p, w[pj])
-            q = k * w[pj] // p
-            w = [k * x - q * y for x, y in zip(w, row)]
-            result *= k
-        return 0 if any(w) else result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupElement)
-            and self.group == other.group
-            and self.canonical() == other.canonical()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.canonical()))
-
-    def __repr__(self) -> str:
-        return f"GroupElement({self.canonical()!r} in {self.group.describe()})"

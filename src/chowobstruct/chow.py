@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class AmbientMismatchError(Exception):
@@ -276,11 +276,15 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
 
 
 def class_str(c: ChowClass) -> str:
-    if c.is_zero():
-        return "0"
+    return _terms_str((c.ambient.monomial_str(exps), coeff) for exps, coeff in c.items())
+
+
+def _terms_str(terms: Iterable[tuple[str, int]]) -> str:
+    """Join (monomial name, coefficient) terms as a class literal, skipping zero coefficients."""
     parts = []
-    for exps, coeff in c.items():
-        mono = c.ambient.monomial_str(exps)
+    for mono, coeff in terms:
+        if not coeff:
+            continue
         if mono == "1":
             parts.append(str(coeff))
         elif coeff == 1:
@@ -289,4 +293,4 @@ def class_str(c: ChowClass) -> str:
             parts.append(f"-{mono}")
         else:
             parts.append(f"{coeff}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return " + ".join(parts).replace("+ -", "- ") or "0"

@@ -169,11 +169,11 @@ def _group_json(group: AbelianPresentation) -> dict:
     }
 
 
-def _element_json(element) -> dict:
+def _element_json(coords: tuple[int, ...], group: AbelianPresentation) -> dict:
     return {
-        "coords": [jint(c) for c in element.canonical()],
-        "group": element.group.describe(),
-        "is_zero": element.is_zero(),
+        "coords": [jint(c) for c in coords],
+        "group": group.describe(),
+        "is_zero": not any(coords),
     }
 
 
@@ -292,7 +292,7 @@ def _cmd_obstruct(args) -> dict | str:
             "c2": class_str(pair.c2),
             "assumption": assumption.label(),
             "theta": class_str(report.theta_on_y),
-            "theta_image": _element_json(report.theta_image),
+            "theta_image": _element_json(report.theta_image, report.theta_quotient),
             "verdict": report.verdict.value,
             "certificates": [
                 report.justification["certificates"]["naive"],
@@ -305,7 +305,7 @@ def _cmd_obstruct(args) -> dict | str:
         [
             f"verdict: {report.verdict.value}",
             f"theta on ambient: {class_str(report.theta_on_y)}",
-            f"theta image: {report.theta_image.canonical()} in {report.theta_image.group.describe()}",
+            f"theta image: {report.theta_image} in {report.theta_quotient.describe()}",
             f"assumption: {jst['assumption']} ({jst['direction']})",
             f"basis: {jst['verdict_basis']}",
             f"note: {jst['unverified_hypotheses']}",

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .abelian import GroupElement, InfiniteGroupError
-from .chow import AmbientMismatchError, ChowClass, class_str, cup, reduce_mod2
+from .abelian import AbelianPresentation, InfiniteGroupError
+from .chow import AmbientMismatchError, ChowClass, _terms_str, cup, reduce_mod2
 from .complement import ComplementModel, Direction, PushforwardAssumption, certificate, complement_group
 from .steenrod import sq2
 
@@ -64,8 +64,12 @@ class ChernPair:
 
 @dataclass(frozen=True, eq=False)
 class ObstructionReport:
+    """theta on the ambient, and its canonical coordinates in the assumption's
+    degree-3 mod-2 quotient."""
+
     theta_on_y: ChowClass
-    theta_image: GroupElement
+    theta_image: tuple[int, ...]
+    theta_quotient: AbelianPresentation
     verdict: Verdict
     justification: dict
 
@@ -93,7 +97,7 @@ def sq2_descends(model: ComplementModel) -> bool:
     naive = PushforwardAssumption.naive()
     quotient = complement_group(model, 3, naive).tensor_mod2()
     return all(
-        quotient.element(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords()).is_zero()
+        quotient.is_zero(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords())
         for rel in complement_group(model, 2, naive).relations.entries
     )
 
@@ -122,13 +126,13 @@ def decide(
     coords = th.coords()
     naive = PushforwardAssumption.naive()
     naive_mod2 = complement_group(model, 3, naive).tensor_mod2()
-    naive_zero = naive_mod2.element(coords).is_zero()
+    naive_zero = naive_mod2.is_zero(coords)
     if assumption.presents_divisor_multiples:
         assm_mod2 = naive_mod2
     else:
         assm_mod2 = complement_group(model, 3, assumption).tensor_mod2()
-    assm_image = assm_mod2.element(coords)
-    assm_zero = assm_image.is_zero()
+    assm_image = assm_mod2.canonical_coords(coords)
+    assm_zero = not any(assm_image)
 
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)
     lower_side_zero = naive_zero or (
@@ -176,6 +180,7 @@ def decide(
     return ObstructionReport(
         theta_on_y=th,
         theta_image=assm_image,
+        theta_quotient=assm_mod2,
         verdict=verdict,
         justification=justification,
     )
@@ -194,10 +199,11 @@ def classify_all(
     """One verdict per element of CH^1(X) x CH^2(X).
 
     Cosets are enumerated through the divisor-multiple quotients in degrees 1
-    and 2 (the declared assumption only ever concerns degree 3) and each coset
-    is lifted to the ambient space through its smallest nonnegative
-    representative.  Rows run over CH^2 inside CH^1, both in enumeration
-    order, so output is deterministic.
+    and 2 (the declared assumption only ever concerns degree 3) as the
+    coordinates of their smallest nonnegative representatives, and each row
+    is labelled from those coordinates and the groups' generator names, which
+    are the monomials of the ambient basis.  Rows run over CH^2 inside CH^1,
+    both in enumeration order, so output is deterministic.
 
     theta, and with it the verdict, reads the lifts only mod 2, so decide()
     runs once per pair of coordinate parities: at most 2^(b1 + b2) times, where
@@ -215,10 +221,12 @@ def classify_all(
 def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = None):
     """(CH^2 labels, lazy iterator of (CH^1 label, verdict column)), one item per CH^1 coset.
 
-    The groups, the finite-group guard and the CH^2 lifts are built at call
-    time; the iterator runs decide() only at the first coset of each parity of
-    c1, on the first lift of each parity of c2.  A column lists one verdict per
-    CH^2 coset, and every coset of the same c1 parity yields the same list.
+    Labels are written from coset coordinates and generator names; a ChowClass
+    is built only for a lift that decide() reads.  The groups, the finite-group
+    guard, the CH^2 labels and the first CH^2 lift of each parity are built at
+    call time; the iterator runs decide() only at the first coset of each
+    parity of c1, on those CH^2 lifts.  A column lists one verdict per CH^2
+    coset, and every coset of the same c1 parity yields the same list.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -230,22 +238,25 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = No
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"
         )
 
-    elements2 = list(g2.elements())
-    lifts2 = [ChowClass.from_coords(model.ambient, 2, e2.coords) for e2 in elements2]
-    labels2 = [class_str(lift2) for lift2 in lifts2]
-    parities2 = [tuple(c % 2 for c in e2.coords) for e2 in elements2]
+    cosets2 = list(g2.elements())
+    labels2 = [_terms_str(zip(g2.generator_names, coords)) for coords in cosets2]
+    parities2 = [tuple(c % 2 for c in coords) for coords in cosets2]
+    lifts2 = {}
+    for coords, parity2 in zip(cosets2, parities2):
+        if parity2 not in lifts2:
+            lifts2[parity2] = ChowClass.from_coords(model.ambient, 2, coords)
 
     def cosets():
         columns = {}
-        for e1 in g1.elements():
-            lift1 = ChowClass.from_coords(model.ambient, 1, e1.coords)
-            parity1 = tuple(c % 2 for c in e1.coords)
+        for coords1 in g1.elements():
+            parity1 = tuple(c % 2 for c in coords1)
             if parity1 not in columns:
-                verdicts = {}
-                for lift2, parity2 in zip(lifts2, parities2):
-                    if parity2 not in verdicts:
-                        verdicts[parity2] = decide(model, ChernPair(lift1, lift2), assumption).verdict
+                lift1 = ChowClass.from_coords(model.ambient, 1, coords1)
+                verdicts = {
+                    parity2: decide(model, ChernPair(lift1, lift2), assumption).verdict
+                    for parity2, lift2 in lifts2.items()
+                }
                 columns[parity1] = [verdicts[parity2] for parity2 in parities2]
-            yield class_str(lift1), columns[parity1]
+            yield _terms_str(zip(g1.generator_names, coords1)), columns[parity1]
 
     return labels2, cosets()

@@ -105,3 +105,24 @@ def torsion_count(cosets: dict, basis: list[list[int]], k: int) -> int:
     return sum(
         1 for rep in cosets.values() if frac_membership(basis, [k * c for c in rep])
     )
+
+
+def mod2_span_contains(generators: list[list[int]], rows: list[list[int]]) -> bool:
+    """Whether every row lies in the GF(2) span of the generators.
+
+    Equivalently, the quotient of Z^n by the generators, reduced mod 2, kills
+    every row.  Vectors are read mod 2 as bit masks and reduced against an
+    echelon basis keyed by leading bit.
+    """
+    pivots: dict[int, int] = {}
+
+    def reduce(v: int) -> int:
+        while v and v.bit_length() - 1 in pivots:
+            v ^= pivots[v.bit_length() - 1]
+        return v
+
+    for g in generators:
+        v = reduce(sum(1 << i for i, x in enumerate(g) if x % 2))
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return not any(reduce(sum(1 << i for i, x in enumerate(r) if x % 2)) for r in rows)

@@ -93,31 +93,44 @@ def _first_lift_pairs(model):
     g1 = complement_group(model, 1, NAIVE)
     g2 = complement_group(model, 2, NAIVE)
     seen, pairs = set(), []
-    for e1 in g1.elements():
-        for e2 in g2.elements():
-            key = (tuple(c % 2 for c in e1.coords), tuple(c % 2 for c in e2.coords))
+    for coords1 in g1.elements():
+        for coords2 in g2.elements():
+            key = (tuple(c % 2 for c in coords1), tuple(c % 2 for c in coords2))
             if key not in seen:
                 seen.add(key)
-                pairs.append((class_str(ChowClass.from_coords(model.ambient, 1, e1.coords)),
-                              class_str(ChowClass.from_coords(model.ambient, 2, e2.coords))))
+                pairs.append((class_str(ChowClass.from_coords(model.ambient, 1, coords1)),
+                              class_str(ChowClass.from_coords(model.ambient, 2, coords2))))
     return pairs
 
 
 def test_cli_calls_decide_on_the_first_lift_of_each_parity_pair(monkeypatch):
     decide = obstruction.decide
-    seen = []
+    from_coords = ChowClass.from_coords.__func__
+    seen, lifts = [], []
 
     def counting_decide(model, pair, assumption=None):
         seen.append((class_str(pair.c1), class_str(pair.c2)))
         return decide(model, pair, assumption)
+
+    def counting_from_coords(cls, ambient, degree, coords):
+        lifts.append((degree, tuple(coords)))
+        return from_coords(cls, ambient, degree, coords)
 
     monkeypatch.setattr(obstruction, "decide", counting_decide)
     for dims, degrees, assumption in SWEEPS:
         ambient = AmbientSpace(dims)
         model = ComplementModel(ambient, degrees)
         seen.clear()
-        classify_all(model, ASSUMPTIONS[assumption])
+        lifts.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ChowClass, "from_coords", classmethod(counting_from_coords))
+            classify_all(model, ASSUMPTIONS[assumption])
         library = list(seen)
+        # a ChowClass is built only for a lift handed to decide(), and only once
+        built = {(degree, class_str(from_coords(ChowClass, ambient, degree, coords)))
+                 for degree, coords in lifts}
+        assert len(built) == len(lifts), (dims, degrees, assumption)
+        assert built == {(1, c1) for c1, _ in library} | {(2, c2) for _, c2 in library}
         seen.clear()
         code, _ = run_classify(monkeypatch, *_argv(dims, degrees, assumption), "--json")
         assert code == 0

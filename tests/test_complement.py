@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,6 +15,8 @@ from chowobstruct.complement import (
     closed_form_check,
     complement_group,
 )
+
+from oracles import mod2_span_contains
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -33,8 +36,8 @@ def test_degree1_group():
     assert group.invariant_factors() == (12,)
     assert cert.status == Status.EXACT
     # x1 and x2 generate summands of orders 3 and 4
-    assert group.element((1, 0)).order() == 3
-    assert group.element((0, 1)).order() == 4
+    assert group.element_order((1, 0)) == 3
+    assert group.element_order((0, 1)) == 4
 
 
 def test_degree2_group():
@@ -62,25 +65,24 @@ def test_degree0_group():
 
 def test_restrict_xi_tau_has_order_four():
     group = complement_group(model34(), 2, NAIVE)
-    e = group.element(parse_class(P1xP3, "x1*x2").coords())
+    e = parse_class(P1xP3, "x1*x2").coords()
     # brute force against the presentation <x1*x2, x2^2 | (4,0), (3,4)>
-    brute = next(k for k in range(1, 17) if group.element((k, 0)).is_zero())
+    brute = next(k for k in range(1, 17) if group.is_zero((k, 0)))
     assert brute == 4
-    assert e.order() == 4
-    assert not e.is_zero()
+    assert group.element_order(e) == 4
+    assert not group.is_zero(e)
 
 
 def test_restrict_hypersurface_class_is_zero():
     group = complement_group(model34(), 1, NAIVE)
-    e = group.element(parse_class(P1xP3, "3*x1 + 4*x2").coords())
-    assert e.is_zero()
+    assert group.is_zero(parse_class(P1xP3, "3*x1 + 4*x2").coords())
 
 
 def test_restrict_xi_tau_squared_survives_witness():
     group = complement_group(model34(), 3, EVEN)
-    e = group.element(parse_class(P1xP3, "x1*x2^2").coords())
-    assert not e.is_zero()
-    assert e.order() == 2
+    e = parse_class(P1xP3, "x1*x2^2").coords()
+    assert not group.is_zero(e)
+    assert group.element_order(e) == 2
 
 
 def test_restrict_is_additive():
@@ -93,7 +95,7 @@ def test_restrict_is_additive():
             a = ChowClass(P1xP3, j, {e: rng.randint(-5, 5) for e in basis})
             b = ChowClass(P1xP3, j, {e: rng.randint(-5, 5) for e in basis})
             coord_sum = tuple(x + y for x, y in zip(a.coords(), b.coords()))
-            assert group.element((a + b).coords()) == group.element(coord_sum)
+            assert group.canonical_coords((a + b).coords()) == group.canonical_coords(coord_sum)
 
 
 def test_closed_form_34():
@@ -105,7 +107,7 @@ def test_closed_form_34():
     assert report.xi_tau_image == (1, 4)
     # the reported image has the order of x1*x2 in the degree-2 quotient
     group = complement_group(model34(), 2, NAIVE)
-    assert group.element(parse_class(P1xP3, "x1*x2").coords()).order() == 4
+    assert group.element_order(parse_class(P1xP3, "x1*x2").coords()) == 4
 
 
 def test_closed_form_22():
@@ -137,7 +139,7 @@ def test_p4_family_quotients():
             group = complement_group(model, j, NAIVE)
             assert group.invariant_factors() == (d,)
             # generated by the image of x1^j
-            assert group.element((1,)).order() == d
+            assert group.element_order((1,)) == d
 
 
 def test_monotonicity_of_quotients():
@@ -155,8 +157,8 @@ def test_monotonicity_of_quotients():
         big_group = complement_group(model, j, custom)
         for _ in range(30):
             coords = tuple(rng.randint(-6, 6) for _ in basis)
-            if naive_group.element(coords).is_zero():
-                assert big_group.element(coords).is_zero()
+            if naive_group.is_zero(coords):
+                assert big_group.is_zero(coords)
 
 
 def test_nori_certificates():
@@ -302,3 +304,61 @@ def test_applicability_and_certificate_table():
                 group = complement_group(model, 3, assumption)
                 assert group.invariant_factors() == (0,) * len(model.ambient.monomial_basis(3))
     assert got == _APPLICABILITY
+
+
+# degrees swept per ambient, and for each containing assumption the number of
+# those models whose degree-3 mod-2 quotient kills every divisor-multiple
+# relation z*m, i.e. contains S_3 = z*CH^2(Y) mod 2 (None: does not apply)
+_S3_DEGREES = {(4,): range(1, 13), (1, 3): range(1, 7), (2, 2): range(1, 4), (1, 1, 2): range(1, 4),
+               (1, 1, 1, 1): range(1, 4)}
+_S3_CONTAINED = {
+    ("naive", (4,)): 12, ("naive", (1, 3)): 36, ("naive", (2, 2)): 9, ("naive", (1, 1, 2)): 27,
+    ("naive", (1, 1, 1, 1)): 81,
+    ("nori", (4,)): 12, ("nori", (1, 3)): 36, ("nori", (2, 2)): 9, ("nori", (1, 1, 2)): 27,
+    ("nori", (1, 1, 1, 1)): 81,
+    ("even-degree", (4,)): 6, ("even-degree", (1, 3)): 9, ("even-degree", (2, 2)): None,
+    ("even-degree", (1, 1, 2)): None, ("even-degree", (1, 1, 1, 1)): None,
+    ("contains", (4,)): 6, ("contains", (1, 3)): 9, ("contains", (2, 2)): 1, ("contains", (1, 1, 2)): 1,
+    ("contains", (1, 1, 1, 1)): 1,
+    ("empty", (4,)): 6, ("empty", (1, 3)): 9, ("empty", (2, 2)): 1, ("empty", (1, 1, 2)): 1,
+    ("empty", (1, 1, 1, 1)): 1,
+    # the custom files of the CLI tests
+    ("file 2*x1*x2^2, x2^3", (1, 3)): 9, ("file x2^3", (1, 3)): 9, ("file 2*x1^2", (4,)): None,
+}
+
+
+def _containing_assumptions(ambient):
+    found = {name: a for name, a in _dim4_assumptions(ambient).items()
+             if name not in ("contained", "mismatch")}
+    files = {(1, 3): (["2*x1*x2^2", "x2^3"], ["x2^3"]), (4,): (["2*x1^2"],)}
+    for gens in files.get(ambient.factor_dims, ()):
+        classes = [parse_class(ambient, g) for g in gens]
+        found["file " + ", ".join(gens)] = PushforwardAssumption.custom(
+            classes, Direction.CONTAINS_IMAGE, classes[0].degree)
+    return found
+
+
+def test_containing_assumptions_contain_divisor_multiples_mod2():
+    # a subgroup containing the pushforward image contains S_3 (projection
+    # formula); off the all-even multidegrees only the divisor-multiple
+    # presentations do
+    got = {}
+    for dims, degree_range in _S3_DEGREES.items():
+        ambient = AmbientSpace(dims)
+        for name, assumption in _containing_assumptions(ambient).items():
+            count = 0
+            for degrees in itertools.product(degree_range, repeat=len(dims)):
+                model = ComplementModel(ambient, degrees)
+                naive_rows = complement_group(model, 3, NAIVE).relations.entries
+                try:
+                    group = complement_group(model, 3, assumption)
+                except InapplicableAssumptionError:
+                    count = None
+                    break
+                holds = mod2_span_contains(group.relations.entries, naive_rows)
+                quotient = group.tensor_mod2()
+                assert holds == all(quotient.is_zero(row) for row in naive_rows), (name, degrees)
+                assert holds == (name in ("naive", "nori") or all(d % 2 == 0 for d in degrees))
+                count += holds
+            got[name, dims] = count
+    assert got == _S3_CONTAINED
