@@ -5,29 +5,32 @@ mathematical content in text or JSON.  JSON output is canonical: keys are
 sorted, every integer is a decimal string (so 53-bit consumers never corrupt
 large torsion orders), and parsing plus re-serializing reproduces the bytes.
 
-Every subcommand but `classify` returns its result for run() to print whole.
-`classify` writes its table as it is computed, one chunk per CH^1 coset, in
-the same bytes; nothing is written before the first chunk is ready, so a
-domain error is printed alone.  A reader that closes the pipe early (`| head`)
-ends the run quietly with exit code 0.
+Every subcommand returns its result and run() alone writes it: a dict as
+canonical JSON, a str as one line-terminated block, and the chunks `classify`
+yields, one per CH^1 coset, as they are computed.  Nothing is written before
+the first chunk is ready, so a domain error is printed alone.  A reader that
+closes the pipe early (`| head`) ends any subcommand quietly with exit code 0.
 
 Exit codes: 0 success, 1 domain error (infinite group, inapplicable
 assumption, unsupported dimension, ambient mismatch, a result integer too
-long to print), 2 usage error.
+long to print) or output that could not be written, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from .abelian import AbelianPresentation, InfiniteGroupError
 from .chow import (
     AmbientMismatchError,
     AmbientSpace,
+    ChowClass,
     class_str,
     cup,
     parse_class,
@@ -78,15 +81,18 @@ PRESETS = {
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
 
 
-def jint(x: int) -> str:
-    return str(int(x))
-
-
-def _matrix_json(m: IntegerMatrix) -> list[list[str]]:
-    return [[jint(e) for e in row] for row in m.entries]
+def _canonical(obj):
+    """obj with every int but a bool written as its decimal string, and every tuple as a list."""
+    if isinstance(obj, dict):
+        return {key: _canonical(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(item) for item in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    return obj
 
 
 def _matrix_text(m: IntegerMatrix) -> str:
@@ -121,8 +127,11 @@ def _parse_assumption(text: str) -> PushforwardAssumption:
         return PushforwardAssumption.nori()
     if text.startswith("custom:"):
         path = text.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except OSError as exc:  # an unreadable file is a usage error, not an output failure
+            raise ValueError(str(exc)) from exc
         if not isinstance(payload, dict):
             raise ValueError(f"assumption file {path} must hold a JSON object")
         for key, kind in CUSTOM_ASSUMPTION_KEYS.items():
@@ -162,16 +171,16 @@ def _model_from_args(args) -> ComplementModel:
 
 def _group_json(group: AbelianPresentation) -> dict:
     return {
-        "generators": list(group.generator_names),
-        "relations": _matrix_json(group.relations),
-        "invariant_factors": [jint(f) for f in group.invariant_factors()],
+        "generators": group.generator_names,
+        "relations": group.relations.entries,
+        "invariant_factors": group.invariant_factors(),
         "group": group.describe(),
     }
 
 
 def _element_json(coords: tuple[int, ...], group: AbelianPresentation) -> dict:
     return {
-        "coords": [jint(c) for c in coords],
+        "coords": coords,
         "group": group.describe(),
         "is_zero": not any(coords),
     }
@@ -181,12 +190,7 @@ def _cmd_snf(args) -> dict | str:
     mat = _parse_matrix_literal(args.matrix)
     dec = smith_normal_form(mat)
     if args.json:
-        return {
-            "diagonal": [jint(d) for d in dec.diagonal],
-            "s": _matrix_json(dec.s),
-            "u": _matrix_json(dec.u),
-            "v": _matrix_json(dec.v),
-        }
+        return {"diagonal": dec.diagonal, "s": dec.s.entries, "u": dec.u.entries, "v": dec.v.entries}
     return "\n".join(
         [
             "diagonal: " + " ".join(str(d) for d in dec.diagonal),
@@ -215,20 +219,20 @@ def _cmd_group(args) -> dict | str:
     return f"invariant factors: {list(group.invariant_factors())}\ngroup: {group.describe()}"
 
 
+def _class_result(args, result: ChowClass) -> dict | str:
+    if args.json:
+        return {"degree": result.degree, "result": class_str(result)}
+    return class_str(result)
+
+
 def _cmd_cup(args) -> dict | str:
     ambient = _parse_ambient(args.ambient)
-    result = cup(parse_class(ambient, args.a), parse_class(ambient, args.b))
-    if args.json:
-        return {"degree": jint(result.degree), "result": class_str(result)}
-    return class_str(result)
+    return _class_result(args, cup(parse_class(ambient, args.a), parse_class(ambient, args.b)))
 
 
 def _cmd_sq2(args) -> dict | str:
     ambient = _parse_ambient(args.ambient)
-    result = sq2(parse_class(ambient, args.cls))
-    if args.json:
-        return {"degree": jint(result.degree), "result": class_str(result)}
-    return class_str(result)
+    return _class_result(args, sq2(parse_class(ambient, args.cls)))
 
 
 def _cmd_complement(args) -> dict | str:
@@ -252,19 +256,7 @@ def _cmd_complement(args) -> dict | str:
 def _cmd_closed_form(args) -> dict | str:
     report = closed_form_check(args.d1, args.d2)
     if args.json:
-        return {
-            "d1": jint(report.d1),
-            "d2": jint(report.d2),
-            "g": jint(report.g),
-            "m": jint(report.m),
-            "n": jint(report.n),
-            "ch1_factors": [jint(f) for f in report.ch1_factors],
-            "ch1_expected": [jint(f) for f in report.ch1_expected],
-            "ch2_factors": [jint(f) for f in report.ch2_factors],
-            "ch2_expected": [jint(f) for f in report.ch2_expected],
-            "xi_tau_image": [jint(c) for c in report.xi_tau_image],
-            "ok": report.ok,
-        }
+        return dataclasses.asdict(report)
     return "\n".join(
         [
             f"(d1, d2) = ({report.d1}, {report.d2}), g = {report.g}, bezout (m, n) = ({report.m}, {report.n})",
@@ -313,9 +305,11 @@ def _cmd_obstruct(args) -> dict | str:
     )
 
 
-def _cmd_classify(args) -> None:
-    """Write the table one CH^1 coset at a time, the header with the first block,
-    so that a domain error raised before it is printed alone.
+def _cmd_classify(args) -> Iterator[str]:
+    """Yield the table one CH^1 coset at a time, the header with the first block
+    and the closing chunk last, even when it is empty.  Nothing runs before
+    run() asks for the first chunk, so a domain error raised before it is
+    printed alone.
 
     Under --json the rows take the layout of dump_json(rows): sorted keys,
     indent 2, and labels encoded by the same C encoder json.dumps uses.
@@ -339,11 +333,9 @@ def _cmd_classify(args) -> None:
         if id(column) not in tails:
             tails[id(column)] = [label2 + rest.format(v.value) for label2, v in zip(labels2, column)]
         prefix = lead + quote(label1) + mid
-        sys.stdout.write(head + prefix + (sep + prefix).join(tails[id(column)]))
+        yield head + prefix + (sep + prefix).join(tails[id(column)])
         head = sep
-    sys.stdout.write(end)
-    # a reader that closed the pipe is seen here, not at interpreter exit
-    sys.stdout.flush()
+    yield end
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,27 +440,34 @@ def run(argv: list[str]) -> int:
         if hasattr(args, required) and getattr(args, required) is None:
             PARSER.error(f"--{required} is required (directly or via --example)")
     try:
-        result = args.func(args)
-    except BrokenPipeError:
-        # The reader closed stdout, as `| head` does.  Point the descriptor at
-        # devnull so that the flush at exit stays quiet, and succeed as a
-        # complete write would have.
+        try:
+            result = args.func(args)
+            if isinstance(result, str):
+                result = [result + "\n"]
+            elif isinstance(result, dict):
+                result = [dump_json(result)]
+            for chunk in result:
+                sys.stdout.write(chunk)
+            code = 0
+        except DOMAIN_ERRORS as exc:
+            code = _domain_error(args, exc)
+        except ValueError as exc:
+            if not _is_oversized_output(exc):
+                sys.stderr.write(f"usage error: {exc}\n")
+                return 2
+            code = _domain_error(args, OutputTooLargeError(f"result too large to print: {exc}"))
+        # a closed pipe or a full disk is seen here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # stdout cannot take the output.  Point the descriptor at devnull so
+        # that the flush at exit stays quiet.  A reader that closed the pipe,
+        # as `| head` does, ends the run as a complete write would have.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except DOMAIN_ERRORS as exc:
-        return _domain_error(args, exc)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        if isinstance(exc, ValueError) and _is_oversized_output(exc):
-            return _domain_error(args, OutputTooLargeError(f"result too large to print: {exc}"))
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
-    if result is None:  # the handler wrote its output itself
-        return 0
-    if args.json:
-        sys.stdout.write(dump_json(result))
-    else:
-        sys.stdout.write(str(result) + "\n")
-    return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -126,7 +126,7 @@ class ExactnessCertificate:
     note: str = ""
 
     def as_dict(self) -> dict:
-        out = {"degree": str(self.degree), "status": self.status.value}
+        out = {"degree": self.degree, "status": self.status.value}
         if self.note:
             out["note"] = self.note
         return out

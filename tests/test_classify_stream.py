@@ -3,7 +3,9 @@
 The streamed output must be byte-identical to the table rendered whole from
 `classify_all` rows, must call decide() on exactly the first lift of each
 parity pair, must stay small in memory, and must write nothing before a
-domain error.
+domain error.  Every subcommand's output goes through the same writer, whose
+closed-pipe and full-device cases are checked here on `classify` and on
+short outputs of other subcommands.
 """
 
 import hashlib
@@ -195,18 +197,56 @@ def test_nothing_is_written_before_a_domain_error(monkeypatch, custom_degree2, c
     assert dump_json(json.loads(out)) == out
 
 
-def test_closed_pipe_exits_quietly():
-    # the table runs to several MB, far past what a pipe buffers, so the
-    # writes after the reader has gone fail with a broken pipe
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "chowobstruct", "classify", "--ambient", "4", "--degree", "300",
-            "--assumption", "naive"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline() == b"c1\tc2\tverdict\n"
-        proc.stdout.close()
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def cli_argv(*argv) -> list[str]:
+    return [sys.executable, "-m", "chowobstruct", *argv]
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (("classify", "--ambient", "4", "--degree", "300", "--assumption", "naive"), b"c1\tc2\tverdict\n"),
+        (("snf", "--matrix", "[[4,3],[0,4]]", "--json"), None),
+        (("obstruct", "--example", "totaro48", "--json"), None),
+    ],
+    ids=["classify", "snf-json", "obstruct-json"],
+)
+def test_closed_pipe_exits_quietly(argv, first_line):
+    # The classify table runs to several MB, far past what a pipe buffers, so the
+    # writes after the reader has read one line and gone fail with a broken pipe.
+    # A short output goes to a pipe whose reader is gone before the run starts.
+    read_end, write_end = os.pipe()
+    if first_line is None:
+        os.close(read_end)
+    with subprocess.Popen(cli_argv(*argv), stdout=write_end, stderr=subprocess.PIPE, env=CLI_ENV) as proc:
+        os.close(write_end)
+        if first_line is not None:
+            with os.fdopen(read_end, "rb") as reader:
+                assert reader.readline() == first_line
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", "--ambient", "4", "--degree", "30", "--assumption", "naive"),
+     ("obstruct", "--example", "totaro48"),
+     # a domain error: on stderr in text, its JSON record cannot be written
+     ("obstruct", "--ambient", "3", "--degree", "2", "--c1", "0", "--c2", "0", "--assumption", "naive")],
+    ids=["classify", "obstruct", "obstruct-domain-error"],
+)
+def test_unwritable_output_is_an_error(argv, json_flag):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(cli_argv(*argv, *json_flag), stdout=full, stderr=subprocess.PIPE,
+                              env=CLI_ENV, timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err and "usage error" not in err
 
 
 def test_sweep_guard_raises_at_call_time():

@@ -264,6 +264,14 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, presentation, cus
     assert err.startswith("usage error: ") and "Traceback" not in err
 
 
+def test_missing_custom_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "obstruct", "--ambient", "1,3", "--degree", "3,4", "--c1", "0",
+                             "--c2", "x1*x2", "--assumption", f"custom:{path}", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and str(path) in err
+
+
 def _readme_commands() -> list[list[str]]:
     """The chow-obstruct lines of the README's first sh block under "## Command line"."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -11,8 +11,10 @@ naive, nori and second even-degree ``classify`` tables were recorded while
 ``classify_all`` still ran ``decide`` once per row, before it was made to decide
 once per parity class; the nori ``complement`` entries at j = 2 and 3 and the
 non-ample one were recorded while ``complement_group`` still returned its
-certificate alongside the presentation.  A refactor that changes any verdict,
-justification, class string, JSON key order or row order changes a hash here.
+certificate alongside the presentation; the two domain-error entries were
+recorded while ``classify`` still wrote its own output.  A refactor that
+changes any verdict, justification, class string, JSON key order or row order
+changes a hash here.
 
 To re-record after an intended output change, print
 ``(exit_code, sha256(stdout))`` for each entry of ``COMMANDS`` and explain the
@@ -20,6 +22,7 @@ change in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -73,6 +76,9 @@ _BASE_COMMANDS = (
     ("complement", "--ambient", "1,3", "--degree", "3,4", "--j", "2", "--assumption", "nori"),
     ("complement", "--ambient", "1,3", "--degree", "3,4", "--j", "3", "--assumption", "nori"),
     ("complement", "--ambient", "1,3", "--degree", "0,4", "--j", "2"),
+    # domain errors: an infinite group and an unsupported dimension
+    ("classify", "--ambient", "2,2", "--degree", "1,1", "--assumption", "naive"),
+    ("obstruct", "--ambient", "3", "--degree", "2", "--c1", "0", "--c2", "0", "--assumption", "naive"),
 )
 
 # Every command in text and in --json.
@@ -162,6 +168,10 @@ GOLDEN = (
     (0, "95ab2d63beb9669ae6e0fee1908947589deb16d4084c2fa5142c418a28d1de1c"),
     (0, "5767a32a7aec6b9739956143a5f6ce862ac028d08f9e2bcb65a2ce6480689e8d"),
     (0, "c573c9c6fdf4469543dff156cf3bd61b215e89d25abbdb4babf3a2d25cfd8fa8"),
+    (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, "9c003ddda5bd035eb7159d26f9b89ca703f2c87ca6f72c9f4b974d02813b3024"),
+    (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, "bf9b3a28a7ce5ae030e604cbc565ae903716e20693f1f1067811046f5a48b897"),
 )
 
 
@@ -169,11 +179,19 @@ def test_golden_table_matches_commands():
     assert len(GOLDEN) == len(COMMANDS)
 
 
+def _refuse_number(token: str):
+    raise AssertionError(f"JSON number {token} in canonical output")
+
+
 def test_cli_output_is_pinned(capsys):
     mismatches = []
     for argv, expected in zip(COMMANDS, GOLDEN):
         code = main(list(argv))
         out = capsys.readouterr().out
+        if "--json" in argv:
+            # every integer is a decimal string, at any depth
+            json.loads(out, parse_int=_refuse_number, parse_float=_refuse_number,
+                       parse_constant=_refuse_number)
         got = (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
         if got != expected:
             mismatches.append(" ".join(argv))
