@@ -120,21 +120,26 @@ class AbelianPresentation:
 
         Walks the Hermite basis of the relations: a pivot p meeting residual
         coordinate w multiplies the order by p/gcd(p, w), and a coordinate that
-        no pivot clears means infinite order.
+        no pivot clears means infinite order.  Pivots move strictly right, so
+        each row's pivot search resumes past the last one.
         """
         if len(coords) != self.ngens:
             raise ValueError(f"coordinate length {len(coords)} != {self.ngens} generators")
         w = list(coords)
+        n = len(w)
         result = 1
+        pj = 0
         for row in self.hnf().entries:
-            pj = next((k for k, x in enumerate(row) if x), None)
-            if pj is None:
+            while pj < n and not row[pj]:
+                pj += 1
+            if pj == n:
                 break
             p = row[pj]
             k = p // math.gcd(p, w[pj])
             q = k * w[pj] // p
             w = [k * x - q * y for x, y in zip(w, row)]
             result *= k
+            pj += 1
         return 0 if any(w) else result
 
     def tensor_mod2(self) -> "AbelianPresentation":

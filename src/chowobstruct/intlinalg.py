@@ -253,12 +253,17 @@ def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
     if len(vector) != h.cols:
         raise ValueError(f"vector length {len(vector)} != matrix columns {h.cols}")
     w = [int(x) for x in vector]
+    n = len(w)
+    # pivots move strictly right, so each row's scan resumes past the last one
+    pj = 0
     for row in h.entries:
-        pj = next((k for k, x in enumerate(row) if x), None)
-        if pj is None:
+        while pj < n and not row[pj]:
+            pj += 1
+        if pj == n:
             break
         q = w[pj] // row[pj]
         if q:
-            for k in range(pj, len(w)):
+            for k in range(pj, n):
                 w[k] -= q * row[k]
+        pj += 1
     return tuple(w)

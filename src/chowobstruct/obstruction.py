@@ -115,75 +115,93 @@ def decide(
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
+    _check_total_dim(model)
+    if pair.c1.ambient != model.ambient:
+        raise AmbientMismatchError("pair does not live on the model's ambient space")
+    return _pair_evaluator(model, assumption)(pair)
+
+
+def _check_total_dim(model: ComplementModel) -> None:
     if model.ambient.total_dim != 4:
         raise DimensionUnsupportedError(
             f"criterion applies to total dimension 4, not {model.ambient.total_dim}"
         )
-    if pair.c1.ambient != model.ambient:
-        raise AmbientMismatchError("pair does not live on the model's ambient space")
 
-    th = theta(pair)
-    coords = th.coords()
+
+def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
+    """The per-pair step of decide(), with everything that depends on the model
+    and the assumption alone built once.
+
+    theta is read in degree-3 mod-2 quotients that do not depend on the pair,
+    so both quotients and their certificates are built here, and the returned
+    function only evaluates theta on a pair and picks the verdict.  Callers
+    check that the model has total dimension 4 and that the pairs live on its
+    ambient space.
+    """
     naive = PushforwardAssumption.naive()
     naive_mod2 = complement_group(model, 3, naive).tensor_mod2()
-    naive_zero = naive_mod2.is_zero(coords)
     if assumption.presents_divisor_multiples:
         assm_mod2 = naive_mod2
     else:
         assm_mod2 = complement_group(model, 3, assumption).tensor_mod2()
-    assm_image = assm_mod2.canonical_coords(coords)
-    assm_zero = not any(assm_image)
-
+    naive_certificate = certificate(model, 3, naive)
+    assm_certificate = certificate(model, 3, assumption)
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)
-    lower_side_zero = naive_zero or (
-        assumption.direction in (Direction.CONTAINED_IN_IMAGE, Direction.EQUALS_IMAGE)
-        and assm_zero
-    )
+    inside_side = assumption.direction in (Direction.CONTAINED_IN_IMAGE, Direction.EQUALS_IMAGE)
 
-    if contains_side and not assm_zero:
-        verdict = Verdict.NOT_ALGEBRAIZABLE
-        basis = (
-            f"theta is nonzero in the degree-3 mod-2 quotient by the "
-            f"'{assumption.label()}' subgroup, asserted to contain the pushforward image"
-        )
-    elif lower_side_zero:
-        verdict = Verdict.ALGEBRAIZABLE
-        if naive_zero:
+    def evaluate(pair: ChernPair) -> ObstructionReport:
+        th = theta(pair)
+        coords = th.coords()
+        naive_zero = naive_mod2.is_zero(coords)
+        assm_image = assm_mod2.canonical_coords(coords)
+        assm_zero = not any(assm_image)
+
+        if contains_side and not assm_zero:
+            verdict = Verdict.NOT_ALGEBRAIZABLE
             basis = (
-                "theta vanishes in the degree-3 mod-2 quotient by the divisor-multiple "
-                "subgroup, a lower bound for the pushforward image by the projection formula"
+                f"theta is nonzero in the degree-3 mod-2 quotient by the "
+                f"'{assumption.label()}' subgroup, asserted to contain the pushforward image"
             )
+        elif naive_zero or (inside_side and assm_zero):
+            verdict = Verdict.ALGEBRAIZABLE
+            if naive_zero:
+                basis = (
+                    "theta vanishes in the degree-3 mod-2 quotient by the divisor-multiple "
+                    "subgroup, a lower bound for the pushforward image by the projection formula"
+                )
+            else:
+                basis = (
+                    f"theta vanishes in the degree-3 mod-2 quotient by the "
+                    f"'{assumption.label()}' subgroup, asserted to lie inside the pushforward image"
+                )
         else:
+            verdict = Verdict.UNDETERMINED
             basis = (
-                f"theta vanishes in the degree-3 mod-2 quotient by the "
-                f"'{assumption.label()}' subgroup, asserted to lie inside the pushforward image"
+                "theta survives every quotient bounding the pushforward image from below, "
+                "and no containing subgroup certifies nonvanishing"
             )
-    else:
-        verdict = Verdict.UNDETERMINED
-        basis = (
-            "theta survives every quotient bounding the pushforward image from below, "
-            "and no containing subgroup certifies nonvanishing"
+
+        justification = {
+            "assumption": assumption.label(),
+            "direction": assumption.direction.value,
+            "certificates": {
+                "naive": naive_certificate.as_dict(),
+                "assumption": assm_certificate.as_dict(),
+            },
+            "naive_theta_zero": naive_zero,
+            "assumption_theta_zero": assm_zero,
+            "verdict_basis": basis,
+            "unverified_hypotheses": UNVERIFIED_HYPOTHESES,
+        }
+        return ObstructionReport(
+            theta_on_y=th,
+            theta_image=assm_image,
+            theta_quotient=assm_mod2,
+            verdict=verdict,
+            justification=justification,
         )
 
-    justification = {
-        "assumption": assumption.label(),
-        "direction": assumption.direction.value,
-        "certificates": {
-            "naive": certificate(model, 3, naive).as_dict(),
-            "assumption": certificate(model, 3, assumption).as_dict(),
-        },
-        "naive_theta_zero": naive_zero,
-        "assumption_theta_zero": assm_zero,
-        "verdict_basis": basis,
-        "unverified_hypotheses": UNVERIFIED_HYPOTHESES,
-    }
-    return ObstructionReport(
-        theta_on_y=th,
-        theta_image=assm_image,
-        theta_quotient=assm_mod2,
-        verdict=verdict,
-        justification=justification,
-    )
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -205,10 +223,13 @@ def classify_all(
     are the monomials of the ambient basis.  Rows run over CH^2 inside CH^1,
     both in enumeration order, so output is deterministic.
 
-    theta, and with it the verdict, reads the lifts only mod 2, so decide()
-    runs once per pair of coordinate parities: at most 2^(b1 + b2) times, where
-    b1 and b2 are the ranks of CH^1 and CH^2 of the ambient space.  The list is
-    built from the same sweep that `classify` streams one CH^1 coset at a time.
+    The degree-3 quotients and certificates that decide() builds per call are
+    built once per sweep, and theta, which reads the lifts only mod 2, is
+    evaluated on them once per pair of coordinate parities: at most
+    2^(b1 + b2) times, where b1 and b2 are the ranks of CH^1 and CH^2 of the
+    ambient space.  Each verdict equals decide() on the row's lift.  The list
+    is built from the same sweep that `classify` streams one CH^1 coset at a
+    time.
     """
     labels2, cosets = _sweep(model, assumption)
     return [
@@ -222,11 +243,13 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = No
     """(CH^2 labels, lazy iterator of (CH^1 label, verdict column)), one item per CH^1 coset.
 
     Labels are written from coset coordinates and generator names; a ChowClass
-    is built only for a lift that decide() reads.  The groups, the finite-group
-    guard, the CH^2 labels and the first CH^2 lift of each parity are built at
-    call time; the iterator runs decide() only at the first coset of each
-    parity of c1, on those CH^2 lifts.  A column lists one verdict per CH^2
-    coset, and every coset of the same c1 parity yields the same list.
+    is built only for a lift that theta reads.  At call time come the groups
+    of degrees 1 and 2, the finite-group guard, then the dimension guard and
+    decide()'s per-pair step with its degree-3 quotients, the CH^2 labels and
+    the first CH^2 lift of each parity.  The iterator evaluates theta only at
+    the first coset of each parity of c1, on those CH^2 lifts.  A column lists
+    one verdict per CH^2 coset, and every coset of the same c1 parity yields
+    the same list.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -237,6 +260,8 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = No
         raise InfiniteGroupError(
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"
         )
+    _check_total_dim(model)
+    evaluate = _pair_evaluator(model, assumption)
 
     cosets2 = list(g2.elements())
     labels2 = [_terms_str(zip(g2.generator_names, coords)) for coords in cosets2]
@@ -253,7 +278,7 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = No
             if parity1 not in columns:
                 lift1 = ChowClass.from_coords(model.ambient, 1, coords1)
                 verdicts = {
-                    parity2: decide(model, ChernPair(lift1, lift2), assumption).verdict
+                    parity2: evaluate(ChernPair(lift1, lift2)).verdict
                     for parity2, lift2 in lifts2.items()
                 }
                 columns[parity1] = [verdicts[parity2] for parity2 in parities2]

@@ -77,6 +77,28 @@ def frac_membership(basis: list[list[int]], vector: list[int]) -> bool:
     return all(c.denominator == 1 for c in rational_coords(basis, vector))
 
 
+def independent_rows_membership(basis: list[list[int]], vector: list[int]) -> bool:
+    """Membership in the row lattice of linearly independent rows of any shape.
+
+    Cramer's rule on columns where the rows have a nonsingular minor fixes the
+    only rational coordinates the vector can have; it lies in the lattice when
+    they are integers and reproduce it in every column.
+    """
+    if not basis:
+        return not any(vector)
+    cols = next(
+        (c for c in combinations(range(len(vector)), len(basis))
+         if cofactor_det([[row[j] for j in c] for row in basis])),
+        None,
+    )
+    if cols is None:
+        raise ValueError("rows must be linearly independent")
+    coords = rational_coords([[row[j] for j in cols] for row in basis], [vector[j] for j in cols])
+    return all(c.denominator == 1 for c in coords) and all(
+        sum(c * row[j] for c, row in zip(coords, basis)) == x for j, x in enumerate(vector)
+    )
+
+
 def coset_key(basis: list[list[int]], vector: list[int]) -> tuple[Fraction, ...]:
     """Invariant identifying the coset of vector modulo the row lattice."""
     return tuple(c - math.floor(c) for c in rational_coords(basis, vector))

@@ -10,7 +10,14 @@ from chowobstruct.abelian import (
 )
 from chowobstruct.intlinalg import IntegerMatrix
 
-from oracles import bfs_cosets, cofactor_det, frac_membership, torsion_count
+from oracles import (
+    bfs_cosets,
+    cofactor_det,
+    frac_membership,
+    independent_rows_membership,
+    torsion_count,
+)
+from test_intlinalg import pivot_walk_inputs, pivots
 
 
 def test_invariant_factors_diagonal_relations():
@@ -96,6 +103,23 @@ def test_element_order_rank_deficient_rectangular():
     assert g.element_order((2, 4, 6)) == 1
     assert g.element_order((1, 0, 0)) == 0
     assert g.element_order((1, 2, 4)) == 0
+
+
+def test_element_order_with_pivot_gaps_and_zero_rows():
+    # a finite order divides the product of the pivots, the minor of the
+    # pivot columns, so the brute force stops there and reads 0 past it
+    rng = random.Random(47)
+    for h, basis in pivot_walk_inputs(rng, 40):
+        g = AbelianPresentation(tuple(f"g{j}" for j in range(h.cols)), h)
+        bound = math.prod(p for _, p in pivots(h))
+        for _ in range(4):
+            c = [rng.randint(-9, 9) for _ in range(h.cols)]
+            brute = next(
+                (k for k in range(1, bound + 1)
+                 if independent_rows_membership(basis, [k * x for x in c])),
+                0,
+            )
+            assert g.element_order(c) == brute, (h, c)
 
 
 def test_tensor_mod2():

@@ -1,11 +1,11 @@
 """`classify` writes its table one CH^1 coset at a time.
 
 The streamed output must be byte-identical to the table rendered whole from
-`classify_all` rows, must call decide() on exactly the first lift of each
-parity pair, must stay small in memory, and must write nothing before a
-domain error.  Every subcommand's output goes through the same writer, whose
-closed-pipe and full-device cases are checked here on `classify` and on
-short outputs of other subcommands.
+`classify_all` rows, must evaluate theta (decide()'s per-pair step) on
+exactly the first lift of each parity pair, must stay small in memory, and
+must write nothing before a domain error.  Every subcommand's output goes
+through the same writer, whose closed-pipe and full-device cases are checked
+here on `classify` and on short outputs of other subcommands.
 """
 
 import hashlib
@@ -106,19 +106,25 @@ def _first_lift_pairs(model):
 
 
 def test_cli_calls_decide_on_the_first_lift_of_each_parity_pair(monkeypatch):
-    decide = obstruction.decide
+    # the sweep builds decide()'s per-pair step once and calls it on each pair
+    pair_evaluator = obstruction._pair_evaluator
     from_coords = ChowClass.from_coords.__func__
     seen, lifts = [], []
 
-    def counting_decide(model, pair, assumption=None):
-        seen.append((class_str(pair.c1), class_str(pair.c2)))
-        return decide(model, pair, assumption)
+    def counting_pair_evaluator(model, assumption):
+        evaluate = pair_evaluator(model, assumption)
+
+        def counting_evaluate(pair):
+            seen.append((class_str(pair.c1), class_str(pair.c2)))
+            return evaluate(pair)
+
+        return counting_evaluate
 
     def counting_from_coords(cls, ambient, degree, coords):
         lifts.append((degree, tuple(coords)))
         return from_coords(cls, ambient, degree, coords)
 
-    monkeypatch.setattr(obstruction, "decide", counting_decide)
+    monkeypatch.setattr(obstruction, "_pair_evaluator", counting_pair_evaluator)
     for dims, degrees, assumption in SWEEPS:
         ambient = AmbientSpace(dims)
         model = ComplementModel(ambient, degrees)
@@ -128,7 +134,7 @@ def test_cli_calls_decide_on_the_first_lift_of_each_parity_pair(monkeypatch):
             m.setattr(ChowClass, "from_coords", classmethod(counting_from_coords))
             classify_all(model, ASSUMPTIONS[assumption])
         library = list(seen)
-        # a ChowClass is built only for a lift handed to decide(), and only once
+        # a ChowClass is built only for a lift that theta is evaluated on, and only once
         built = {(degree, class_str(from_coords(ChowClass, ambient, degree, coords)))
                  for degree, coords in lifts}
         assert len(built) == len(lifts), (dims, degrees, assumption)

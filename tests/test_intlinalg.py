@@ -11,7 +11,12 @@ from chowobstruct.intlinalg import (
     xgcd,
 )
 
-from oracles import cofactor_det, frac_membership, reference_snf_diagonal
+from oracles import (
+    cofactor_det,
+    frac_membership,
+    independent_rows_membership,
+    reference_snf_diagonal,
+)
 
 
 def check_snf(mat: IntegerMatrix):
@@ -212,6 +217,60 @@ def test_hermite_reduce_is_canonical():
         # same coset iff same reduced form
         same = not any(hermite_reduce(h, [a - b for a, b in zip(v, shifted)]))
         assert (hermite_reduce(h, v) == hermite_reduce(h, shifted)) == same
+
+
+def random_hermite_basis(rng, n, rank, max_pivot=4):
+    """Rows of a Hermite form built by hand: `rank` pivots in sorted random
+    columns, so the pivots may skip columns, each entry above a pivot in
+    [0, pivot) and the other entries right of a pivot in [-5, 5]."""
+    pivot_cols = sorted(rng.sample(range(n), rank))
+    rows = []
+    for i, pj in enumerate(pivot_cols):
+        row = [0] * pj + [rng.randint(1, max_pivot)] + [rng.randint(-5, 5) for _ in range(pj + 1, n)]
+        rows.append(row)
+        for upper in rows[:i]:
+            upper[pj] %= row[pj]
+    return rows
+
+
+def pivot_walk_inputs(rng, count):
+    """(Hermite form, independent rows spanning its lattice) pairs: hand-built
+    forms with pivot gaps and trailing zero rows, and the forms
+    hermite_normal_form gives for rank-deficient rectangular matrices whose
+    rows are those independent rows and integer combinations of them."""
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        rank = rng.randint(0, min(n, 4))
+        basis = random_hermite_basis(rng, n, rank)
+        zeros = [[0] * n for _ in range(rng.randint(0, 2))]
+        h = IntegerMatrix(basis + zeros, cols=n)
+        # the hand-built rows are already in Hermite form
+        assert hermite_normal_form(h) == h
+        cases.append((h, basis))
+        combos = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            combos.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)])
+        rows = basis + combos
+        rng.shuffle(rows)
+        cases.append((hermite_normal_form(IntegerMatrix(rows, cols=n)), basis))
+    return cases
+
+
+def pivots(h: IntegerMatrix) -> list[tuple[int, int]]:
+    """(column, value) of the first nonzero entry of each nonzero row."""
+    return [next((j, x) for j, x in enumerate(row) if x) for row in h.entries if any(row)]
+
+
+def test_hermite_reduce_with_pivot_gaps_and_zero_rows():
+    rng = random.Random(43)
+    for h, basis in pivot_walk_inputs(rng, 60):
+        for _ in range(6):
+            v = [rng.randint(-25, 25) for _ in range(h.cols)]
+            w = hermite_reduce(h, v)
+            assert independent_rows_membership(basis, [a - b for a, b in zip(v, w)]), (h, v)
+            assert all(0 <= w[j] < p for j, p in pivots(h)), (h, v, w)
 
 
 def test_vector_length_validation():

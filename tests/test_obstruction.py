@@ -162,6 +162,17 @@ def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, reduct
     assert report.theta_quotient == tensor_mod2(complement_group(model, 3, assumption))
 
 
+def test_each_report_of_one_sweep_owns_its_justification():
+    # the sweep builds decide()'s per-pair step once; a caller editing one
+    # report's justification must not reach the next report's
+    evaluate = obstruction._pair_evaluator(ComplementModel(P1xP3, (3, 4)), EVEN)
+    first = evaluate(pair_on(P1xP3, "0", "x1*x2"))
+    first.justification["certificates"]["naive"]["status"] = "edited"
+    second = evaluate(pair_on(P1xP3, "0", "x1*x2"))
+    assert second.justification["certificates"]["naive"]["status"] == "UPPER_BOUND_ONLY"
+    assert second.justification is not first.justification
+
+
 def test_decide_rejects_foreign_pair():
     model = ComplementModel(P1xP3, (3, 4))
     from chowobstruct.chow import AmbientMismatchError
@@ -318,17 +329,45 @@ def test_classify_lifts_are_smallest_representatives():
 
 
 
-def _sweep_against_decide(monkeypatch, model, assumption):
-    """Run classify_all with decide() counted, check every row against a direct
-    decide() on its own lift, and return the number of calls classify_all made."""
-    calls = []
+@pytest.mark.parametrize(
+    "assumption, degrees", [(NAIVE, [1, 2, 3]), (NORI, [1, 2, 3]), (EVEN, [1, 2, 3, 3])],
+    ids=["naive", "nori", "even-degree"],
+)
+def test_classify_builds_each_group_once(monkeypatch, assumption, degrees):
+    # CH^1 and CH^2 for the cosets, and the degree-3 quotient once per sweep,
+    # plus the assumption's own degree-3 group when it is not the naive one
+    built = []
 
-    def counting_decide(*args, **kwargs):
-        calls.append(args)
-        return decide(*args, **kwargs)
+    def counting_complement_group(model, j, assumption=None):
+        built.append((j, assumption))
+        return complement_group(model, j, assumption)
+
+    monkeypatch.setattr(obstruction, "complement_group", counting_complement_group)
+    for model in (ComplementModel(P4, (6,)), ComplementModel(P1xP3, (2, 4))):
+        built.clear()
+        classify_all(model, assumption)
+        assert sorted(j for j, _ in built) == degrees, model
+        assert len(set(built)) == len(built), model
+
+
+def _sweep_against_decide(monkeypatch, model, assumption):
+    """Run classify_all with calls to decide()'s per-pair step counted, check
+    every row against a direct decide() on its own lift, and return the number
+    of calls classify_all made."""
+    calls = []
+    pair_evaluator = obstruction._pair_evaluator
+
+    def counting_pair_evaluator(*args):
+        evaluate = pair_evaluator(*args)
+
+        def counting_evaluate(pair):
+            calls.append(pair)
+            return evaluate(pair)
+
+        return counting_evaluate
 
     with monkeypatch.context() as m:
-        m.setattr(obstruction, "decide", counting_decide)
+        m.setattr(obstruction, "_pair_evaluator", counting_pair_evaluator)
         rows = classify_all(model, assumption)
     ambient = model.ambient
     for row in rows:
@@ -341,7 +380,7 @@ def _sweep_against_decide(monkeypatch, model, assumption):
 
 @pytest.mark.parametrize("assumption", [NAIVE, EVEN, NORI], ids=lambda a: a.label())
 def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
-    # theta reads c1 and c2 mod 2, so one decide() per parity class: 2^(1+1)
+    # theta reads c1 and c2 mod 2, so one evaluation per parity class: 2^(1+1)
     for d in range(1, 13):
         calls = _sweep_against_decide(monkeypatch, ComplementModel(P4, (d,)), assumption)
         assert 1 <= calls <= 4, (d, calls)
@@ -349,7 +388,7 @@ def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
 
 @pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=lambda a: a.label())
 def test_classify_p1xp3_matches_decide_on_every_row(monkeypatch, assumption):
-    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2, so at most 2^4 decide() calls
+    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2, so at most 2^4 evaluations
     for d1 in range(1, 5):
         for d2 in range(1, 5):
             model = ComplementModel(P1xP3, (d1, d2))
