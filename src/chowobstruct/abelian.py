@@ -45,6 +45,33 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
     return g, m, n
 
 
+def _box_level(bounds: Sequence[int], total: int) -> list[tuple[int, ...]]:
+    """The vectors v with 0 <= v_i < bounds[i] and coordinate sum `total`, in
+    lexicographically descending order; none when no such vector exists."""
+    if not bounds:
+        return [()] if total == 0 else []
+    if len(bounds) == 1:
+        return [(total,)] if 0 <= total < bounds[0] else []
+    # prefixes with what they leave over, each coordinate running down from
+    # its largest value while the coordinates after it can hold the rest
+    *head, a, b = bounds
+    room = sum(bounds) - len(bounds)
+    prefixes = [((), total)]
+    for p in head:
+        room -= p - 1
+        prefixes = [
+            (v + (c,), left - c)
+            for v, left in prefixes
+            for c in range(min(p - 1, left), max(0, left - room) - 1, -1)
+        ]
+    # the last two coordinates: a plain range
+    return [
+        v + (c, left - c)
+        for v, left in prefixes
+        for c in range(min(a - 1, left), max(0, left - b + 1) - 1, -1)
+    ]
+
+
 class AbelianPresentation:
     """Abelian group given by generator names and a relation matrix (rows are relations)."""
 
@@ -149,17 +176,52 @@ class AbelianPresentation:
         rows.extend(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
         return AbelianPresentation(self.generator_names, IntegerMatrix(rows, cols=n))
 
+    def _box_bounds(self) -> tuple[int, ...] | None:
+        """The pivots (p_0, ..., p_{n-1}) when the first n Hermite rows are
+        diag(p_0, ..., p_{n-1}), else None.  Only called on a finite group,
+        whose Hermite form has a pivot in every column."""
+        rows = self.hnf().entries[: self.ngens]
+        if any(any(row[i + 1:]) for i, row in enumerate(rows)):
+            return None
+        return tuple(row[i] for i, row in enumerate(rows))
+
     def elements(self) -> Iterator[tuple[int, ...]]:
         """Yield one coordinate tuple per coset, breadth-first from zero.
 
-        Representatives are found by repeatedly adding single generators, so
-        each coset is named by a smallest nonnegative generator combination,
-        which reads as a label through `generator_names`; the zero coset comes
-        first and the order is deterministic.  Raises InfiniteGroupError when
-        a free generator is present.
+        Representatives are found by repeatedly adding single generators
+        e_0, e_1, ... in that order, so each coset is named by a smallest
+        nonnegative generator combination, which reads as a label through
+        `generator_names`; the zero coset comes first and the order is
+        deterministic.  Raises InfiniteGroupError when a free generator is
+        present.
+
+        When the Hermite form is diag(p_0, ..., p_{n-1}) the search has a
+        closed form, and the cosets are yielded without one: the vectors of
+        the box prod [0, p_i), by coordinate sum ascending and, within one
+        sum, lexicographically descending.  This is the search's own order:
+
+        * in the box, a step off an edge wraps to a coset with a smaller sum,
+          which the search has already seen; so its levels are coordinate
+          sums, and each coset's representative is its unique box vector;
+        * if the queue holds a level in lexicographically descending order,
+          a coset c is first reached from its lexicographically largest
+          parent c - e_j, where j is c's last nonzero coordinate;
+        * parents in that order, each trying e_0, e_1, ... in turn, discover
+          their children in lexicographically descending order, which is
+          therefore the order of the next level too.
         """
         if not self.is_finite():
             raise InfiniteGroupError(f"group {self.describe()} is infinite")
+        bounds = self._box_bounds()
+        if bounds is not None:
+            if len(bounds) == 1:
+                # one generator, one coset per level: a plain range is fastest
+                for c in range(bounds[0]):
+                    yield (c,)
+            else:
+                for total in range(sum(bounds) - len(bounds) + 1):
+                    yield from _box_level(bounds, total)
+            return
         n = self.ngens
         start = (0,) * n
         seen = {self.canonical_coords(start)}

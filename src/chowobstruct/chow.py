@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .abelian import _box_level
 
 
 class AmbientMismatchError(Exception):
@@ -43,17 +44,10 @@ class AmbientSpace:
         """All exponent vectors of the given total degree within the truncation bounds.
 
         Ordered by descending lexicographic comparison, so powers of the first
-        factor sort first: in P^1 x P^3 degree 2 this is (x1*x2, x2^2).
+        factor sort first: in P^1 x P^3 degree 2 this is (x1*x2, x2^2).  The
+        vectors are generated in that order, with no candidate out of bounds.
         """
-        if degree < 0 or degree > self.total_dim:
-            return ()
-        exps = [
-            e
-            for e in _cartesian(*(range(n + 1) for n in self.factor_dims))
-            if sum(e) == degree
-        ]
-        exps.sort(reverse=True)
-        return tuple(exps)
+        return tuple(_box_level([n + 1 for n in self.factor_dims], degree))
 
     def monomial_str(self, exps: Sequence[int]) -> str:
         parts = [

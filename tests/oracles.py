@@ -2,16 +2,18 @@
 
 Nothing here imports from chowobstruct: determinants come from Laplace
 expansion, diagonal forms from a separate first-nonzero-pivot reduction, and
-lattice membership from exact rational solving, so agreement with the library
-is meaningful evidence rather than a tautology.
+lattice membership from exact rational solving, Steenrod squares from the
+total square on GF(2) polynomials, so agreement with the library is meaningful
+evidence rather than a tautology.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -122,6 +124,26 @@ def bfs_cosets(basis: list[list[int]]) -> dict[tuple[Fraction, ...], tuple[int, 
     return found
 
 
+def forward_bfs_cosets(basis: list[list[int]]) -> list[tuple[int, ...]]:
+    """Coset representatives of Z^n modulo the row lattice in discovery order,
+    stepping from zero along +e_0, +e_1, ... only."""
+    n = len(basis)
+    start = tuple([0] * n)
+    seen = {coset_key(basis, list(start))}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for i in range(n):
+            w = v[:i] + (v[i] + 1,) + v[i + 1:]
+            key = coset_key(basis, list(w))
+            if key not in seen:
+                seen.add(key)
+                order.append(w)
+                queue.append(w)
+    return order
+
+
 def torsion_count(cosets: dict, basis: list[list[int]], k: int) -> int:
     """Number of cosets killed by multiplication by k (brute force)."""
     return sum(
@@ -148,3 +170,89 @@ def mod2_span_contains(generators: list[list[int]], rows: list[list[int]]) -> bo
         if v:
             pivots[v.bit_length() - 1] = v
     return not any(reduce(sum(1 << i for i, x in enumerate(r) if x % 2)) for r in rows)
+
+
+# GF(2) classes on P^{n_1} x ... x P^{n_k}: sets of exponent tuples, each
+# monomial present with coefficient 1; a monomial past a bound is zero.
+
+_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
+
+
+def gf2_parse(label: str, k: int) -> set[tuple[int, ...]]:
+    """A printed class such as '3*x1 + x1*x2^2' or '0', read mod 2."""
+    out: set[tuple[int, ...]] = set()
+    if label == "0":
+        return out
+    for term in label.split(" + "):
+        coeff, exps = 1, [0] * k
+        for factor in term.split("*"):
+            if factor.isdigit():
+                coeff *= int(factor)
+            else:
+                m = _FACTOR.match(factor)
+                exps[int(m.group(1)) - 1] += int(m.group(2) or 1)
+        if coeff % 2:
+            out ^= {tuple(exps)}
+    return out
+
+
+def gf2_mul(a: set, b: set, dims: tuple[int, ...]) -> set[tuple[int, ...]]:
+    out: set[tuple[int, ...]] = set()
+    for ea in a:
+        for eb in b:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= n for x, n in zip(e, dims)):
+                out ^= {e}
+    return out
+
+
+def gf2_total_square(a: set, dims: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Sq as the ring homomorphism with Sq(x_i) = x_i + x_i^2, all degrees at once."""
+    k = len(dims)
+    out: set[tuple[int, ...]] = set()
+    for exps in a:
+        image = {tuple([0] * k)}
+        for i, power in enumerate(exps):
+            unit = tuple(int(j == i) for j in range(k))
+            for _ in range(power):
+                image = gf2_mul(image, {unit, tuple(2 * u for u in unit)}, dims)
+        out ^= image
+    return out
+
+
+def theta_verdict(
+    dims: tuple[int, ...],
+    multidegree: tuple[int, ...],
+    c1: set,
+    c2: set,
+    direction: str,
+    assumption_rows: list[set] | None,
+) -> str:
+    """The verdict on theta = Sq^2(c2) + c1*c2 from first principles.
+
+    The naive rows are z*m over the degree-2 monomials m, z the hypersurface
+    class; assumption_rows are the assumption's degree-3 generators mod 2, or
+    None for an assumption that quotients by the naive rows too.  `direction`
+    is how the assumption's subgroup sits against the pushforward image:
+    'contained_in_image', 'contains_image' or 'equals_image'.
+    """
+    k = len(dims)
+    monomials = list(product(*(range(n + 1) for n in dims)))
+    degree3 = [e for e in monomials if sum(e) == 3]
+
+    def vector(a: set) -> list[int]:
+        return [int(e in a) for e in degree3]
+
+    theta = {e for e in gf2_total_square(c2, dims) if sum(e) == 3} ^ gf2_mul(c1, c2, dims)
+    z = {tuple(int(j == i) for j in range(k)) for i, d in enumerate(multidegree) if d % 2}
+    naive_rows = [vector(gf2_mul(z, {m}, dims)) for m in monomials if sum(m) == 2]
+    naive_zero = mod2_span_contains(naive_rows, [vector(theta)])
+    if assumption_rows is None:
+        assumption_zero = naive_zero
+    else:
+        assumption_zero = mod2_span_contains([vector(r) for r in assumption_rows], [vector(theta)])
+    if direction != "contained_in_image" and not assumption_zero:
+        return "NOT_ALGEBRAIZABLE"
+    if naive_zero or (direction != "contains_image" and assumption_zero):
+        return "ALGEBRAIZABLE"
+    return "UNDETERMINED"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from chowobstruct.intlinalg import IntegerMatrix
 from oracles import (
     bfs_cosets,
     cofactor_det,
+    forward_bfs_cosets,
     frac_membership,
     independent_rows_membership,
     torsion_count,
@@ -156,6 +158,33 @@ def test_enumerate_smallest_representatives_first():
     assert len(reps) == 16
     single = AbelianPresentation(("x",), [[5]])
     assert list(single.elements()) == [(0,), (1,), (2,), (3,), (4,)]
+
+
+def _box(bounds):
+    n = len(bounds)
+    return [[b * (i == j) for j in range(n)] for i, b in enumerate(bounds)]
+
+
+def _is_diagonal(h: IntegerMatrix) -> bool:
+    return all(not x for i, row in enumerate(h.entries) for j, x in enumerate(row) if i != j)
+
+
+def test_enumeration_order_matches_forward_bfs_oracle():
+    # classify labels and orders its rows by these cosets, so the order is
+    # checked against a search that knows nothing of Hermite forms: on boxes,
+    # which take the closed form, and on the P^1 x P^3 degree-2 relations,
+    # whose Hermite form is diagonal only for some degrees
+    rng = random.Random(16)
+    boxes = [b for n in range(4) for b in itertools.product(range(1, 5), repeat=n)]
+    boxes += [tuple(rng.randint(1, 5) for _ in range(4)) for _ in range(50)]
+    relations = [_box(b) for b in boxes]
+    relations += [[[d2, 0], [d1, d2]] for d1 in range(1, 7) for d2 in range(1, 7)]
+    diagonal = 0
+    for rows in relations:
+        g = AbelianPresentation([f"g{i}" for i in range(len(rows))], IntegerMatrix(rows, cols=len(rows)))
+        diagonal += _is_diagonal(g.hnf())
+        assert list(g.elements()) == forward_bfs_cosets(rows), rows
+    assert len(boxes) < diagonal < len(relations)
 
 
 def test_group_laws_random():

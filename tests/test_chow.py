@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,16 @@ def test_monomial_basis_degree0_and_top():
     assert P4.monomial_basis(3) == ((3,),)
     assert P1xP3.monomial_basis(5) == ()
     assert P1xP3.monomial_basis(4) == ((1, 3),)
+
+
+def test_monomial_basis_equals_the_filtered_product():
+    for k in range(1, 5):
+        for dims in itertools.product(range(1, 4), repeat=k):
+            ambient = AmbientSpace(dims)
+            product = list(itertools.product(*(range(n + 1) for n in dims)))
+            for degree in range(-1, ambient.total_dim + 2):
+                expected = sorted((e for e in product if sum(e) == degree), reverse=True)
+                assert ambient.monomial_basis(degree) == tuple(expected), (dims, degree)
 
 
 def test_cup_monomials():

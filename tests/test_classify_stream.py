@@ -2,8 +2,9 @@
 
 The streamed output must be byte-identical to the table rendered whole from
 `classify_all` rows, must evaluate theta (decide()'s per-pair step) on
-exactly the first lift of each parity pair, must stay small in memory, and
-must write nothing before a domain error.  Every subcommand's output goes
+exactly the first lift of each parity pair, must give every row the verdict
+an independent theta oracle gives on its printed labels, must stay small in
+memory, and must write nothing before a domain error.  Every subcommand's output goes
 through the same writer, whose closed-pipe and full-device cases are checked
 here on `classify` and on short outputs of other subcommands.
 """
@@ -24,6 +25,8 @@ from chowobstruct.chow import AmbientSpace, ChowClass, class_str
 from chowobstruct.cli import dump_json, main
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.obstruction import classify_all
+
+from oracles import gf2_parse, theta_verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 NAIVE = PushforwardAssumption.naive()
@@ -88,6 +91,31 @@ def test_stream_matches_the_whole_table(monkeypatch):
             if not as_json:
                 # the header goes out with the first coset's rows
                 assert writes[0].count("\n") == 1 + cosets2
+
+
+# The even-degree generators of the declared table, read mod 2:
+# 2*x1*x2^2 and 2*x1^3 vanish, x2^3 stays.
+EVEN_DEGREE_MOD2 = {(1, 3): [{(0, 3)}], (4,): []}
+
+
+def test_every_row_matches_the_theta_oracle(monkeypatch):
+    # the printed labels are read back mod 2 and theta is recomputed from the
+    # total square, independently of cup, sq2 and the quotient presentations
+    for dims, degrees, assumption in SWEEPS:
+        code, writes = run_classify(monkeypatch, *_argv(dims, degrees, assumption))
+        assert code == 0
+        lines = "".join(writes).splitlines()
+        assert lines[0] == "c1\tc2\tverdict"
+        if assumption == "even-degree":
+            direction, rows = "contains_image", EVEN_DEGREE_MOD2[dims]
+        else:
+            direction = "equals_image" if assumption == "nori" else "contained_in_image"
+            rows = None
+        for line in lines[1:]:
+            c1, c2, verdict = line.split("\t")
+            c1, c2 = gf2_parse(c1, len(dims)), gf2_parse(c2, len(dims))
+            expected = theta_verdict(dims, degrees, c1, c2, direction, rows)
+            assert verdict == expected, (dims, degrees, assumption, line)
 
 
 def _first_lift_pairs(model):
