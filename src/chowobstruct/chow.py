@@ -64,15 +64,20 @@ class AmbientSpace:
         return " x ".join(f"P^{n}" for n in self.factor_dims)
 
 
+def _check_degree(degree) -> int:
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    return degree
+
+
 class ChowClass:
     """A graded class: integer combination of monomials of one fixed codimension."""
 
     __slots__ = ("ambient", "degree", "_items")
 
     def __init__(self, ambient: AmbientSpace, degree: int, coeffs: Mapping[tuple[int, ...], int]):
-        degree = int(degree)
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
+        degree = _check_degree(degree)
         items = []
         for exps, c in coeffs.items():
             exps = tuple(int(e) for e in exps)
@@ -89,6 +94,18 @@ class ChowClass:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_items", tuple(items))
 
+    @classmethod
+    def _trusted(cls, ambient: AmbientSpace, degree: int, coeffs: Mapping[tuple[int, ...], int]) -> "ChowClass":
+        """A class from monomials the package built itself: int exponent tuples,
+        in bounds and of the given degree, with int coefficients.  Nothing is
+        checked; zero coefficients are dropped and the items sorted as in
+        __init__."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_items", tuple(sorted([item for item in coeffs.items() if item[1]], reverse=True)))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ChowClass is immutable")
 
@@ -102,7 +119,7 @@ class ChowClass:
         basis = ambient.monomial_basis(degree)
         if len(coords) != len(basis):
             raise ValueError(f"expected {len(basis)} coordinates, got {len(coords)}")
-        return cls(ambient, degree, dict(zip(basis, coords)))
+        return cls._trusted(ambient, _check_degree(degree), {e: int(c) for e, c in zip(basis, coords)})
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], int]:
@@ -130,7 +147,7 @@ class ChowClass:
         out = self.coeffs
         for e, c in other._items:
             out[e] = out.get(e, 0) + c
-        return ChowClass(self.ambient, self.degree, out)
+        return ChowClass._trusted(self.ambient, self.degree, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,12 +179,12 @@ def cup(a: ChowClass, b: ChowClass) -> ChowClass:
             if not ambient.in_bounds(e):
                 continue
             out[e] = out.get(e, 0) + ca * cb
-    return ChowClass(ambient, degree, out)
+    return ChowClass._trusted(ambient, degree, out)
 
 
 def reduce_mod2(c: ChowClass) -> ChowClass:
     """Reduce all coefficients into {0, 1}."""
-    return ChowClass(c.ambient, c.degree, {e: v % 2 for e, v in c.items()})
+    return ChowClass._trusted(c.ambient, c.degree, {e: v % 2 for e, v in c.items()})
 
 
 def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple[int, ...], ...]:
@@ -266,7 +283,7 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
     for exps, c in terms:
         if ambient.in_bounds(exps):
             coeffs[exps] = coeffs.get(exps, 0) + c
-    return ChowClass(ambient, degree, coeffs)
+    return ChowClass._trusted(ambient, _check_degree(degree), coeffs)
 
 
 def class_str(c: ChowClass) -> str:

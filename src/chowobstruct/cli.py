@@ -4,6 +4,15 @@ Every subcommand wraps exactly one library operation and reports the same
 mathematical content in text or JSON.  JSON output is canonical: keys are
 sorted, every integer is a decimal string (so 53-bit consumers never corrupt
 large torsion orders), and parsing plus re-serializing reproduces the bytes.
+One recursive writer, dump_json, fixes that layout: two-space indent, strings
+escaped to ASCII by the encoder json.dumps uses, tuples as lists.  The rows
+`classify --json` streams are framed by the same helpers.
+
+The parser is built once.  When the first argument names a subcommand, run()
+parses the rest with that subcommand's parser, which is what the top-level
+parser would hand it, and reports leftover arguments with the top-level
+parser's own message; every other command line goes through the top-level
+parser.  Usage errors and help text are the same bytes either way.
 
 Every subcommand returns its result and run() alone writes it: a dict as
 canonical JSON, a str as one line-terminated block, and the chunks `classify`
@@ -48,6 +57,7 @@ from .intlinalg import IntegerMatrix, smith_normal_form
 from .obstruction import (
     ChernPair,
     DimensionUnsupportedError,
+    Verdict,
     _sweep,
     decide,
 )
@@ -81,18 +91,49 @@ PRESETS = {
 
 
 def dump_json(obj) -> str:
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    """obj as canonical JSON text, with a final newline."""
+    return _json(obj, "\n") + "\n"
 
 
-def _canonical(obj):
-    """obj with every int but a bool written as its decimal string, and every tuple as a list."""
+def _json(obj, newline: str) -> str:
+    """obj written at the indent that `newline` ends with.
+
+    Keys are sorted and strings ASCII-escaped by the encoder json.dumps uses;
+    every int but a bool is a quoted decimal, and a tuple is a list.  str() of
+    an int longer than the interpreter's digit limit raises ValueError here.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return _JSON_LITERALS[obj]
+    if isinstance(obj, int):
+        return '"' + str(obj) + '"'
+    inner = newline + "  "
     if isinstance(obj, dict):
-        return {key: _canonical(value) for key, value in obj.items()}
+        if not obj:
+            return "{}"
+        first, sep, last = _json_frame("{", "}", newline)
+        return first + sep.join([_json_key(key) + _json(obj[key], inner) for key in sorted(obj)]) + last
     if isinstance(obj, (list, tuple)):
-        return [_canonical(item) for item in obj]
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return str(obj)
-    return obj
+        if not obj:
+            return "[]"
+        first, sep, last = _json_frame("[", "]", newline)
+        return first + sep.join([_json(item, inner) for item in obj]) + last
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_frame(opener: str, closer: str, newline: str) -> tuple[str, str, str]:
+    """What a nonempty array or object written at `newline` puts before its
+    first member, between two members and after its last."""
+    inner = newline + "  "
+    return opener + inner, "," + inner, newline + closer
+
+
+def _json_key(key: str) -> str:
+    return encode_basestring_ascii(key) + ": "
 
 
 def _matrix_text(m: IntegerMatrix) -> str:
@@ -311,34 +352,40 @@ def _cmd_classify(args) -> Iterator[str]:
     run() asks for the first chunk, so a domain error raised before it is
     printed alone.
 
-    Under --json the rows take the layout of dump_json(rows): sorted keys,
-    indent 2, and labels encoded by the same C encoder json.dumps uses.
+    Under --json the rows take the layout of dump_json(rows), from the same
+    frames and key writer.
     """
     model = _model_from_args(args)
     assumption = _parse_assumption(args.assumption)
     labels2, cosets = _sweep(model, assumption)
     if args.json:
         quote = encode_basestring_ascii
-        head, sep, end = "[\n", ",\n", "\n]\n"
-        lead, mid, rest = '  {\n    "c1": ', ',\n    "c2": ', ',\n    "verdict": "{}"\n  }}'
+        head, sep, end = _json_frame("[", "]", "\n")
+        first, between, last = _json_frame("{", "}", "\n  ")
+        lead = first + _json_key("c1")
+        mid = between + _json_key("c2")
+        rest = between + _json_key("verdict")
+        end += "\n"
         labels2 = [quote(label2) for label2 in labels2]
     else:
         quote = str
         head, sep, end = "c1\tc2\tverdict\n", "", ""
-        lead, mid, rest = "", "\t", "\t{}\n"
+        lead, mid, rest, last = "", "\t", "\t", "\n"
+    verdicts = {v: rest + quote(v.value) + last for v in Verdict}
     # Every coset of one c1 parity yields the same column object, so its
     # identity keys the row tails, formatted once per column.
     tails = {}
     for label1, column in cosets:
         if id(column) not in tails:
-            tails[id(column)] = [label2 + rest.format(v.value) for label2, v in zip(labels2, column)]
+            tails[id(column)] = [label2 + verdicts[v] for label2, v in zip(labels2, column)]
         prefix = lead + quote(label1) + mid
         yield head + prefix + (sep + prefix).join(tails[id(column)])
         head = sep
     yield end
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by subcommand name."""
     parser = argparse.ArgumentParser(
         prog="chow-obstruct",
         description="Exact Chow-group quotients of hypersurface complements and the "
@@ -393,12 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assumption")
     p.add_argument("--example", help="bidegree34|totaro48|trento|nori:<d>")
 
-    return parser
+    return parser, sub.choices
 
 
 # Built once: parse_args fills a fresh namespace on every call, and help and
 # usage text read the terminal width when they are formatted.
-PARSER = build_parser()
+PARSER, SUBPARSERS = build_parser()
 
 
 def _attach_signed_classes(argv: list[str]) -> list[str]:
@@ -406,8 +453,8 @@ def _attach_signed_classes(argv: list[str]) -> list[str]:
     an abbreviation ('--clas -x1') is rewritten too, for argparse to resolve or reject."""
     out: list[str] = []
     for arg in argv:
-        named = out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in CLASS_OPTIONS)
-        if named and arg.startswith("-") and not arg.startswith("--"):
+        signed = arg.startswith("-") and not arg.startswith("--")
+        if signed and out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in CLASS_OPTIONS):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -433,8 +480,21 @@ def _domain_error(args, exc: Exception) -> int:
     return 1
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """PARSER.parse_args(argv), with a named subcommand's arguments parsed by
+    its own subparser, as PARSER would pass them on, and any left over
+    reported by PARSER."""
+    sub = SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return PARSER.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        PARSER.error("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def run(argv: list[str]) -> int:
-    args = PARSER.parse_args(_attach_signed_classes(argv))
+    args = _parse(_attach_signed_classes(argv))
     _apply_preset(args, PARSER)
     for required in ("ambient", "degree", "assumption", "c1", "c2"):
         if hasattr(args, required) and getattr(args, required) is None:

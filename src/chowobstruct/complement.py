@@ -230,7 +230,7 @@ def complement_group(
     rows = _relation_rows(model, j, assumption)
     basis = model.ambient.monomial_basis(j)
     names = tuple(model.ambient.monomial_str(e) for e in basis)
-    return AbelianPresentation(names, IntegerMatrix(rows, cols=len(basis)))
+    return AbelianPresentation(names, IntegerMatrix._trusted(rows, len(basis)))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,16 @@ class IntegerMatrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", tuple(rows))
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...], cols: int) -> "IntegerMatrix":
+        """A matrix the package built itself: a tuple of int tuples, each of width cols.
+        Nothing is checked or copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(entries))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
+
     @staticmethod
     def _as_int(e) -> int:
         if isinstance(e, bool) or not isinstance(e, (int, str)):
@@ -240,7 +250,7 @@ def hermite_normal_form(a: IntegerMatrix) -> IntegerMatrix:
                 h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
         r += 1
 
-    return IntegerMatrix(h, cols=n)
+    return IntegerMatrix._trusted(tuple(map(tuple, h)), n)
 
 
 def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:

@@ -28,4 +28,4 @@ def sq2(c: ChowClass) -> ChowClass:
                 if a % 2 and a < dims[i]:
                     bumped = exps[:i] + (a + 1,) + exps[i + 1:]
                     coeffs[bumped] = coeffs.get(bumped, 0) ^ 1
-    return ChowClass(c.ambient, c.degree + 1, coeffs)
+    return ChowClass._trusted(c.ambient, c.degree + 1, coeffs)

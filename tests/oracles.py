@@ -40,6 +40,8 @@ def reference_snf_diagonal(rows: list[list[int]]) -> list[int]:
     The k-th determinantal divisor D_k is the gcd of all k x k minors; the
     invariant factors are D_k / D_{k-1} while D_k is nonzero, then zeros.
     Minors are taken on the original small entries, so nothing can blow up.
+    D_{k-1} divides every k x k minor (expand it along a row), so the scan of
+    the k x k minors stops once their gcd has come down to D_{k-1}.
     """
     m = len(rows)
     n = len(rows[0]) if rows else 0
@@ -52,6 +54,10 @@ def reference_snf_diagonal(rows: list[list[int]]) -> list[int]:
             for csel in combinations(range(n), k):
                 minor = [[rows[i][j] for j in csel] for i in rsel]
                 g = math.gcd(g, cofactor_det(minor))
+                if g == prev:
+                    break
+            if g == prev:
+                break
         if g == 0:
             break
         diag.append(g // prev)

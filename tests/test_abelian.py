@@ -9,7 +9,9 @@ from chowobstruct.abelian import (
     InfiniteGroupError,
     bezout,
 )
-from chowobstruct.intlinalg import IntegerMatrix
+from chowobstruct.chow import AmbientSpace
+from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
+from chowobstruct.intlinalg import IntegerMatrix, hermite_normal_form
 
 from oracles import (
     bfs_cosets,
@@ -17,6 +19,7 @@ from oracles import (
     forward_bfs_cosets,
     frac_membership,
     independent_rows_membership,
+    reference_snf_diagonal,
     torsion_count,
 )
 from test_intlinalg import pivot_walk_inputs, pivots
@@ -131,6 +134,40 @@ def test_tensor_mod2():
     assert free2.tensor_mod2().invariant_factors() == (2, 2)
     trivial = AbelianPresentation((), IntegerMatrix([], cols=0))
     assert trivial.tensor_mod2().invariant_factors() == ()
+
+
+def _tensor_mod2_inputs():
+    """Seeded presentations, then the degree-3 groups of the five ambients of
+    dimension 4 that decide() reduces mod 2."""
+    rng = random.Random(131)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [
+            [rng.choice((0, 0, rng.randint(-3, 3), rng.randint(-10 ** 6, 10 ** 6))) for _ in range(n)]
+            for _ in range(rng.randint(0, 8))
+        ]
+        yield AbelianPresentation([f"g{i}" for i in range(n)], IntegerMatrix(rows, cols=n))
+    for dims in ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)):
+        assumptions = [PushforwardAssumption.naive()]
+        if dims in ((4,), (1, 3)):
+            assumptions.append(PushforwardAssumption.even_degree())
+        for degrees in ((1,) * len(dims), (2,) * len(dims), (2, 3, 4, 5)[: len(dims)], (10 ** 6 + 1,) * len(dims)):
+            model = ComplementModel(AmbientSpace(dims), degrees)
+            for assumption in assumptions:
+                yield complement_group(model, 3, assumption)
+
+
+def test_tensor_mod2_matches_the_general_path():
+    for group in _tensor_mod2_inputs():
+        n = group.ngens
+        twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
+        quotient = group.tensor_mod2()
+        assert quotient.relations.entries == group.relations.entries + twos
+        assert quotient.hnf() == hermite_normal_form(quotient.relations), group
+        expected = tuple(d for d in reference_snf_diagonal(quotient.relations.to_lists()) if d != 1)
+        assert quotient.invariant_factors() == expected, group
+        general = AbelianPresentation(quotient.generator_names, quotient.relations)
+        assert general.invariant_factors() == expected
 
 
 def test_enumerate_counts():

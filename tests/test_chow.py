@@ -14,6 +14,7 @@ from chowobstruct.chow import (
     reduce_mod2,
 )
 from chowobstruct.intlinalg import IntegerMatrix
+from chowobstruct.steenrod import sq2
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -164,11 +165,57 @@ def test_reduce_mod2():
 
 
 def test_class_validation():
-    with pytest.raises(ValueError):
-        ChowClass(P1xP3, 2, {(2, 0): 1})
-    with pytest.raises(ValueError):
-        ChowClass(P1xP3, 2, {(1, 0): 1})
-    with pytest.raises(ValueError):
-        AmbientSpace(())
-    with pytest.raises(ValueError):
-        AmbientSpace((0, 3))
+    # public constructors and parsed input keep their checks; the package's
+    # own results skip them
+    for call in (
+        lambda: ChowClass(P1xP3, 2, {(2, 0): 1}),  # past a truncation bound
+        lambda: ChowClass(P1xP3, 2, {(1, 0): 1}),  # wrong degree
+        lambda: ChowClass(P1xP3, 2, {(1, 0, 1): 1}),  # wrong number of factors
+        lambda: ChowClass(P4, -1, {}),
+        lambda: ChowClass.monomial(P4, (5,)),
+        lambda: ChowClass.from_coords(P1xP3, 2, (1, 2, 3)),
+        lambda: ChowClass.from_coords(P4, 1, ()),
+        lambda: ChowClass.from_coords(P4, -1, ()),
+        lambda: parse_class(P1xP3, "x1", degree=2),
+        lambda: parse_class(P1xP3, "x1 + x2^2"),
+        lambda: parse_class(P4, "0", degree=-1),
+        lambda: parse_class(P4, "x2"),
+        lambda: AmbientSpace(()),
+        lambda: AmbientSpace((0, 3)),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _checked(c):
+    """c rebuilt through the public constructor, which validates every monomial."""
+    return ChowClass(c.ambient, c.degree, c.coeffs)
+
+
+def test_internal_results_equal_checked_construction():
+    # equality compares the stored items, so this also checks that no zero
+    # coefficient is kept and that the items are in descending order
+    rng = random.Random(137)
+    for dims in ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1)):
+        ambient = AmbientSpace(dims)
+        for _ in range(15):
+            by_degree = {
+                j: ChowClass.from_coords(
+                    ambient, j, [rng.choice((0, 0, rng.randint(-6, 6))) for _ in ambient.monomial_basis(j)]
+                )
+                for j in range(5)
+            }
+            a, b, c = by_degree[1], by_degree[2], random_class(rng, ambient, 2)
+            results = [
+                *by_degree.values(),
+                cup(a, b), cup(b, c), cup(by_degree[0], by_degree[4]), cup(by_degree[3], a),
+                sq2(a), sq2(b), sq2(by_degree[3]),
+                reduce_mod2(b), reduce_mod2(cup(a, c)),
+                b + c, b + ChowClass(ambient, 2, {e: -x for e, x in b.items()}),
+                parse_class(ambient, class_str(b)), parse_class(ambient, class_str(a), degree=1),
+                parse_class(ambient, "0", degree=3), parse_class(ambient, "x1 - x1 + 2*x1", degree=1),
+            ]
+            for result in results:
+                assert result == _checked(result), (dims, result)
+                assert hash(result) == hash(_checked(result))
+

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chowobstruct import cli
 from chowobstruct.cli import dump_json, main
 
 
@@ -187,6 +188,73 @@ def test_json_round_trip_is_byte_identical(capsys):
         assert dump_json(json.loads(out)) == out
 
 
+def _canonicalised(obj):
+    """obj with every int but a bool as its decimal string and every tuple as a list."""
+    if isinstance(obj, dict):
+        return {key: _canonicalised(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonicalised(item) for item in obj]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    [],
+    (),
+    {"b": [1, (2, -3)], "a": {"z": {}, "y": [], "x": ()}, "c": [[[]], [{}]]},
+    {"flags": [True, False, None], "n": -12345678901234567890, "zero": 0},
+    {"ξ": "τ ⊕ Z/2", "é\n\"quoted\"": ["\u2603", "\t", "plain"], "": ""},
+    ({"deep": ({"deeper": ({"deepest": (-1,)},)},)},),
+    -7,
+    "ascii",
+    None,
+    True,
+])
+def test_dump_json_matches_the_stdlib_writer(obj):
+    assert dump_json(obj) == json.dumps(_canonicalised(obj), sort_keys=True, indent=2) + "\n"
+
+
+# Each ends in argparse, with a usage error or help.  run() parses those that
+# start with a subcommand's name with that subcommand's parser.
+_BAD_COMMAND_LINES = (
+    ("obstruct", "--example", "totaro48", "--bogus"),
+    ("snf",),
+    ("complement", "--ambient", "4", "--degree", "5", "--j", "x"),
+    ("nosuch", "--json"),
+    (),
+    ("--help",),
+    ("obstruct", "--help"),
+    ("obstruct", "--ambient", "4", "--c1", "-x1", "--bogus", "-y"),
+    ("cup", "--ambient", "4", "--a", "-x1", "--b", "x1", "extra"),
+)
+
+
+@pytest.mark.parametrize("argv", _BAD_COMMAND_LINES, ids=" ".join)
+def test_usage_errors_match_the_top_level_parser(capsys, argv):
+    with pytest.raises(SystemExit) as got:
+        main(list(argv))
+    direct = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        cli.PARSER.parse_args(cli._attach_signed_classes(list(argv)))
+    parsed = capsys.readouterr()
+    assert (got.value.code, direct.out, direct.err) == (want.value.code, parsed.out, parsed.err)
+    assert direct.err or direct.out
+
+
+def test_subcommand_arguments_parse_as_the_top_level_parser_does():
+    for argv in (
+        ["obstruct", "--example", "totaro48", "--json"],
+        ["classify", "--ambient", "4", "--degree", "5", "--assumption=naive"],
+        ["sq2", "--ambient", "4", "--cl=-x1"],
+        ["snf", "--matrix", "[[1]]"],
+    ):
+        parsed = vars(cli.PARSER.parse_args(argv))
+        assert parsed.pop("command") == argv[0]
+        assert vars(cli._parse(argv)) == parsed
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "snf", "--matrix", "not json")
     assert code == 2
@@ -321,6 +389,12 @@ def test_oversized_output_is_domain_error(capsys):
         # too long an input stays a usage error
         code, _, err = run_cli(capsys, "group", "--relations", too_long)
         assert code == 2 and err.startswith("usage error: ")
+        # at CPython's default limit of 4300 digits: entries of 1909 and 2710
+        # digits, whose product is the invariant factor
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run_cli(capsys, "group", "--json", "--relations", f"[[{3 ** 4000},0],[0,{2 ** 9000 + 1}]]")
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -394,3 +394,89 @@ def test_classify_p1xp3_matches_decide_on_every_row(monkeypatch, assumption):
             model = ComplementModel(P1xP3, (d1, d2))
             calls = _sweep_against_decide(monkeypatch, model, assumption)
             assert 1 <= calls <= 16, (d1, d2, calls)
+
+
+# The lift-flip table.  Item-1 grids of the ROADMAP for P^4 and P^1 x P^3, with
+# every parity pair of lifts; every multidegree with components up to 3 on
+# P^2 x P^2, where both ranks are small, and every parity pattern of the
+# multidegree on the other two ambients, each with seeded parity pairs.  Only
+# naive and nori apply off P^4 and P^1 x P^3.  The seeded pairs find the same
+# flipping models there as all 128 and 1024 pairs do.
+_FLIP_GRIDS = {
+    (4,): (range(1, 13), None),
+    (1, 3): (range(1, 7), None),
+    (2, 2): (range(1, 4), None),
+    (1, 1, 2): (range(1, 3), 16),
+    (1, 1, 1, 1): (range(1, 3), 8),
+}
+LIFTS = ("c1 + z", "c1 + relation", "c2 + relation")
+# The number of models on which a lift flips some verdict, by assumption and
+# lift.  Under even-degree every lift flips exactly on the models whose
+# subgroup misses the divisor multiples mod 2 (not every degree even): c1 + z
+# adds z*c2 to theta, which that subgroup does not kill.  Item 1 of the ROADMAP
+# would make those counts 0.  On (P^1)^4 and P^1 x P^1 x P^2 a degree-1
+# relation row d_i*x_i flips naive and nori verdicts too: for two factors or
+# more it is not zero in CH^1 of the complement, which is item 4 of the
+# ROADMAP.  Every count not listed is 0.
+_FLIPS = {
+    **{("even-degree", (4,), lift): 6 for lift in LIFTS},
+    **{("even-degree", (1, 3), lift): 27 for lift in LIFTS},
+    ("naive", (1, 1, 2), "c1 + relation"): 1,
+    ("nori", (1, 1, 2), "c1 + relation"): 1,
+    ("naive", (1, 1, 1, 1), "c1 + relation"): 11,
+    ("nori", (1, 1, 1, 1), "c1 + relation"): 11,
+}
+
+
+def _flipping_lifts(model, assumption, pairs):
+    """The lifts among c1 + z, c1 + a degree-1 relation row and c2 + a degree-2
+    relation row that change the verdict of decide()'s per-pair step on one of
+    the pairs."""
+    ambient = model.ambient
+    evaluate = obstruction._pair_evaluator(model, assumption)
+
+    def verdict(c1, c2):
+        pair = ChernPair(ChowClass.from_coords(ambient, 1, c1), ChowClass.from_coords(ambient, 2, c2))
+        return evaluate(pair).verdict
+
+    def plus(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    shifts = dict(zip(LIFTS, (
+        [model.z_class.coords()],
+        complement_group(model, 1, NAIVE).relations.entries,
+        complement_group(model, 2, NAIVE).relations.entries,
+    )))
+    flipped = set()
+    for c1, c2 in pairs:
+        base = verdict(c1, c2)
+        for lift in set(LIFTS) - flipped:
+            side = 2 if lift.startswith("c2") else 1
+            if any(
+                verdict(plus(c1, s) if side == 1 else c1, plus(c2, s) if side == 2 else c2) != base
+                for s in shifts[lift]
+            ):
+                flipped.add(lift)
+    return flipped
+
+
+@pytest.mark.parametrize("dims", list(_FLIP_GRIDS), ids=lambda dims: "x".join(f"P{n}" for n in dims))
+def test_lift_flip_table(dims):
+    ambient = AmbientSpace(dims)
+    degree_range, sample = _FLIP_GRIDS[dims]
+    pairs = list(itertools.product(
+        itertools.product((0, 1), repeat=len(ambient.monomial_basis(1))),
+        itertools.product((0, 1), repeat=len(ambient.monomial_basis(2))),
+    ))
+    if sample is not None:
+        pairs = random.Random(f"flips-{dims}").sample(pairs, sample)
+    got = {}
+    for name, assumption in ASSUMPTIONS.items():
+        if name == "even-degree" and dims not in ((4,), (1, 3)):
+            continue
+        for degrees in itertools.product(degree_range, repeat=len(dims)):
+            for lift in _flipping_lifts(ComplementModel(ambient, degrees), assumption, pairs):
+                got[name, dims, lift] = got.get((name, dims, lift), 0) + 1
+                if name == "even-degree":
+                    assert any(d % 2 for d in degrees), degrees
+    assert got == {key: count for key, count in _FLIPS.items() if key[1] == dims}
