@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
@@ -72,10 +73,15 @@ def _box_level(bounds: Sequence[int], total: int) -> list[tuple[int, ...]]:
     ]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class AbelianPresentation:
     """Abelian group given by generator names and a relation matrix (rows are relations)."""
 
-    __slots__ = ("generator_names", "relations", "_diagonal", "_hnf")
+    generator_names: tuple[str, ...]
+    relations: IntegerMatrix
+    # normal forms stored on first use, outside equality and hashing
+    _diagonal: tuple[int, ...] | None = field(compare=False)
+    _hnf: IntegerMatrix | None = field(compare=False)
 
     def __init__(self, generator_names: Sequence[str], relations: IntegerMatrix | Iterable[Iterable[int]]):
         names = tuple(str(s) for s in generator_names)
@@ -89,9 +95,6 @@ class AbelianPresentation:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_diagonal", None)
         object.__setattr__(self, "_hnf", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AbelianPresentation is immutable")
 
     @classmethod
     def from_json(cls, obj: dict) -> "AbelianPresentation":
@@ -276,16 +279,6 @@ class AbelianPresentation:
                 if key not in seen:
                     seen.add(key)
                     queue.append(nb)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AbelianPresentation)
-            and self.generator_names == other.generator_names
-            and self.relations == other.relations
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.generator_names, self.relations))
 
     def __repr__(self) -> str:
         return f"AbelianPresentation({self.generator_names!r}, {self.relations.to_lists()!r})"

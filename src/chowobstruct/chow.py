@@ -71,10 +71,13 @@ def _check_degree(degree) -> int:
     return degree
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ChowClass:
     """A graded class: integer combination of monomials of one fixed codimension."""
 
-    __slots__ = ("ambient", "degree", "_items")
+    ambient: AmbientSpace
+    degree: int
+    _items: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, ambient: AmbientSpace, degree: int, coeffs: Mapping[tuple[int, ...], int]):
         degree = _check_degree(degree)
@@ -105,9 +108,6 @@ class ChowClass:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_items", tuple(sorted([item for item in coeffs.items() if item[1]], reverse=True)))
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChowClass is immutable")
 
     @classmethod
     def monomial(cls, ambient: AmbientSpace, exps: Sequence[int], coeff: int = 1) -> "ChowClass":
@@ -148,17 +148,6 @@ class ChowClass:
         for e, c in other._items:
             out[e] = out.get(e, 0) + c
         return ChowClass._trusted(self.ambient, self.degree, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowClass)
-            and self.ambient == other.ambient
-            and self.degree == other.degree
-            and self._items == other._items
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.degree, self._items))
 
     def __str__(self) -> str:
         return class_str(self)

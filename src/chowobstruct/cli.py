@@ -357,7 +357,6 @@ def _cmd_classify(args) -> Iterator[str]:
     """
     model = _model_from_args(args)
     assumption = _parse_assumption(args.assumption)
-    labels2, cosets = _sweep(model, assumption)
     if args.json:
         quote = encode_basestring_ascii
         head, sep, end = _json_frame("[", "]", "\n")
@@ -366,20 +365,18 @@ def _cmd_classify(args) -> Iterator[str]:
         mid = between + _json_key("c2")
         rest = between + _json_key("verdict")
         end += "\n"
-        labels2 = [quote(label2) for label2 in labels2]
     else:
         quote = str
         head, sep, end = "c1\tc2\tverdict\n", "", ""
         lead, mid, rest, last = "", "\t", "\t", "\n"
     verdicts = {v: rest + quote(v.value) + last for v in Verdict}
-    # Every coset of one c1 parity yields the same column object, so its
-    # identity keys the row tails, formatted once per column.
-    tails = {}
-    for label1, column in cosets:
-        if id(column) not in tails:
-            tails[id(column)] = [label2 + verdicts[v] for label2, v in zip(labels2, column)]
+
+    def tails(column):
+        return [quote(label2) + verdicts[v] for label2, v in column]
+
+    for label1, column in _sweep(model, assumption, tails):
         prefix = lead + quote(label1) + mid
-        yield head + prefix + (sep + prefix).join(tails[id(column)])
+        yield head + prefix + (sep + prefix).join(column)
         head = sep
     yield end
 

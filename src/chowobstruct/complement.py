@@ -167,13 +167,11 @@ def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...
 
     In degree 1 the quotient is presented with one relation d_i * x_i per
     factor, so that CH^1 splits as the direct sum of Z/d_i with x_i generating
-    the i-th summand; from degree 2 on the generators are z * (each degree j-1
-    basis monomial), the coordinate tuples of _divisor_columns, taken directly
-    as relation rows.
+    the i-th summand; in every other degree the generators are z * (each
+    degree j-1 basis monomial), the coordinate tuples of _divisor_columns,
+    taken directly as relation rows, and degree 0 has none.
     """
     ambient = model.ambient
-    if j == 0:
-        return ()
     if j == 1:
         k = ambient.k
         return tuple(

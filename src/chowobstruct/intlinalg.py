@@ -27,10 +27,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class IntegerMatrix:
     """Immutable dense integer matrix stored as a tuple of row tuples."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
         rows = []
@@ -65,9 +68,6 @@ class IntegerMatrix:
             raise ValueError(f"matrix entry {e!r} is not an integer")
         return int(e)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegerMatrix is immutable")
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -79,16 +79,6 @@ class IntegerMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"IntegerMatrix({self.to_lists()!r})"

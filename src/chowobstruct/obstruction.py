@@ -228,28 +228,31 @@ def classify_all(
     evaluated on them once per pair of coordinate parities: at most
     2^(b1 + b2) times, where b1 and b2 are the ranks of CH^1 and CH^2 of the
     ambient space.  Each verdict equals decide() on the row's lift.  The list
-    is built from the same sweep that `classify` streams one CH^1 coset at a
-    time.
+    comes from the sweep that `classify` streams one CH^1 coset at a time,
+    with `list` as the renderer of each verdict column.
     """
-    labels2, cosets = _sweep(model, assumption)
     return [
         ClassifyRow(c1=label1, c2=label2, verdict=verdict)
-        for label1, column in cosets
-        for label2, verdict in zip(labels2, column)
+        for label1, column in _sweep(model, assumption, list)
+        for label2, verdict in column
     ]
 
 
-def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = None):
-    """(CH^2 labels, lazy iterator of (CH^1 label, verdict column)), one item per CH^1 coset.
+def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None, render):
+    """Lazy iterator of (CH^1 label, rendered column), one item per CH^1 coset.
+
+    A column pairs each CH^2 label with its verdict, in CH^2 enumeration
+    order, and render(pairs) turns that iterable of (label, verdict) pairs
+    into what the caller keeps: `list` for classify_all, row tails for the
+    CLI.  render runs once per parity of c1, and every coset of that parity
+    yields its result.
 
     Labels are written from coset coordinates and generator names; a ChowClass
     is built only for a lift that theta reads.  At call time come the groups
     of degrees 1 and 2, the finite-group guard, then the dimension guard and
     decide()'s per-pair step with its degree-3 quotients, the CH^2 labels and
     the first CH^2 lift of each parity.  The iterator evaluates theta only at
-    the first coset of each parity of c1, on those CH^2 lifts.  A column lists
-    one verdict per CH^2 coset, and every coset of the same c1 parity yields
-    the same list.
+    the first coset of each parity of c1, on those CH^2 lifts.
     """
     if assumption is None:
         assumption = PushforwardAssumption.naive()
@@ -281,7 +284,7 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None = No
                     parity2: evaluate(ChernPair(lift1, lift2)).verdict
                     for parity2, lift2 in lifts2.items()
                 }
-                columns[parity1] = [verdicts[parity2] for parity2 in parities2]
+                columns[parity1] = render(zip(labels2, (verdicts[p] for p in parities2)))
             yield _terms_str(zip(g1.generator_names, coords1)), columns[parity1]
 
-    return labels2, cosets()
+    return cosets()

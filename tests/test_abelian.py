@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ from chowobstruct.abelian import (
     InfiniteGroupError,
     bezout,
 )
-from chowobstruct.chow import AmbientSpace
+from chowobstruct.chow import AmbientSpace, ChowClass
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.intlinalg import IntegerMatrix, hermite_normal_form
 
@@ -286,6 +287,35 @@ def test_cokernel_invariants_match_bfs_enumeration():
 def test_element_equality_and_hash():
     g = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
     assert g.canonical_coords((4, 5)) == g.canonical_coords((1, 1))
+    # the cached Hermite form and Smith diagonal take no part in equality
+    fresh = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
+    g.hnf()
+    g.invariant_factors()
+    assert fresh._hnf is None and fresh._diagonal is None
+    assert g._hnf is not None and g._diagonal is not None
+    assert fresh == g and hash(fresh) == hash(g)
+    assert g != AbelianPresentation(("x", "z"), [[3, 0], [0, 4]])
+    assert g != AbelianPresentation(("x", "y"), [[3, 0], [0, 8]])
+
+
+FROZEN_VALUES = [
+    (IntegerMatrix([[1, 2], [3, 4]]), ("rows", "cols", "entries")),
+    (ChowClass(AmbientSpace((1, 3)), 2, {(1, 1): 3}), ("ambient", "degree", "_items")),
+    (AbelianPresentation(("x",), [[2]]), ("generator_names", "relations", "_diagonal", "_hnf")),
+]
+
+
+@pytest.mark.parametrize("value, names", FROZEN_VALUES, ids=[type(v).__name__ for v, _ in FROZEN_VALUES])
+def test_value_types_are_frozen(value, names):
+    assert dataclasses.is_dataclass(value)
+    assert tuple(f.name for f in dataclasses.fields(value)) == names
+    before = [getattr(value, name) for name in names]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in names] == before
 
 
 def test_from_json():

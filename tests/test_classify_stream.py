@@ -289,4 +289,4 @@ def test_unwritable_output_is_an_error(argv, json_flag):
 def test_sweep_guard_raises_at_call_time():
     # the guard runs before any row is asked for
     with pytest.raises(InfiniteGroupError):
-        obstruction._sweep(ComplementModel(AmbientSpace((1, 3)), (0, 4)), NAIVE)
+        obstruction._sweep(ComplementModel(AmbientSpace((1, 3)), (0, 4)), NAIVE, list)

@@ -61,6 +61,14 @@ def test_degree0_group():
     cert = certificate(model34(), 0, NAIVE)
     assert group.invariant_factors() == (0,)
     assert cert.status == Status.EXACT
+    # one factor or several, degree 0 has no divisor-multiple relation
+    for dims, degree in [((4,), (5,)), ((1, 3), (2, 3)), ((2, 2), (3, 1)),
+                         ((1, 1, 2), (1, 2, 3)), ((1, 1, 1, 1), (1, 2, 1, 3))]:
+        model = ComplementModel(AmbientSpace(dims), degree)
+        group = complement_group(model, 0, NAIVE)
+        assert group.relations.rows == 0, dims
+        assert group.describe() == "Z", dims
+        assert certificate(model, 0, NAIVE).status == Status.EXACT, dims
 
 
 def test_restrict_xi_tau_has_order_four():

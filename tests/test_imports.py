@@ -1,6 +1,7 @@
-"""Every name a module imports is read somewhere in that module, and every
+"""Every name a module imports is read somewhere in that module, every
 module-level function, class and constant is read or imported somewhere in
-the package.
+the package, and no class writes its own __setattr__, __delattr__, __eq__ or
+__hash__: immutable value types are frozen dataclasses.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -50,6 +51,27 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     return [f"{module}.{name}" for module, name in defined if name not in used]
 
 
+HAND_WRITTEN = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+
+
+def hand_written_dunders(source: str) -> list[str]:
+    """Class.name for every class body that defines or assigns one of HAND_WRITTEN."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{node.name}.{name}" for name in names if name in HAND_WRITTEN]
+    return found
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nc()\n"
     assert unused_imports(source) == ["os", "a"]
@@ -79,3 +101,21 @@ def test_every_definition_is_read_or_imported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert "__init__" in sources
     assert unread_definitions(sources) == []
+
+
+def test_hand_written_dunders_are_found():
+    source = (
+        "class A:\n    def __eq__(self, other):\n        return True\n    def __repr__(self):\n        return ''\n"
+        "class B:\n    __hash__ = None\n    class C:\n        def __setattr__(self, n, v):\n            pass\n"
+        "def __delattr__(self, name):\n    pass\n"
+    )
+    assert hand_written_dunders(source) == ["A.__eq__", "B.__hash__", "C.__setattr__"]
+
+
+def test_no_class_writes_its_own_setattr_delattr_eq_or_hash():
+    found = {
+        p.name: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (names := hand_written_dunders(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
