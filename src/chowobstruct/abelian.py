@@ -73,7 +73,7 @@ def _box_level(bounds: Sequence[int], total: int) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class AbelianPresentation:
     """Abelian group given by generator names and a relation matrix (rows are relations)."""
 

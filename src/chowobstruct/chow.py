@@ -71,7 +71,7 @@ def _check_degree(degree) -> int:
     return degree
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class ChowClass:
     """A graded class: integer combination of monomials of one fixed codimension."""
 

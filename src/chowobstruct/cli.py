@@ -88,6 +88,8 @@ PRESETS = {
     "totaro48": {"ambient": "4", "degree": "48", "assumption": "even-degree", "c1": "x1", "c2": "x1^2"},
     "trento": {"ambient": "4", "degree": "125", "assumption": "naive", "c1": "x1", "c2": "x1^2"},
 }
+# The `--example` values, as the help text and the unknown-example error list them.
+EXAMPLES = "|".join([*PRESETS, "nori:<d>"])
 
 
 def dump_json(obj) -> str:
@@ -188,7 +190,7 @@ def _parse_assumption(text: str) -> PushforwardAssumption:
     raise ValueError(f"unknown assumption {text!r}; use naive|even-degree|nori|custom:<file>")
 
 
-def _apply_preset(args: argparse.Namespace, parser: argparse.ArgumentParser):
+def _apply_preset(args: argparse.Namespace):
     name = getattr(args, "example", None)
     if not name:
         return
@@ -197,8 +199,7 @@ def _apply_preset(args: argparse.Namespace, parser: argparse.ArgumentParser):
     elif name in PRESETS:
         preset = PRESETS[name]
     else:
-        parser.error(f"unknown example {name!r}; use bidegree34|totaro48|trento|nori:<d>")
-        return
+        PARSER.error(f"unknown example {name!r}; use {EXAMPLES}")
     for key, value in preset.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
@@ -429,13 +430,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--c1")
     p.add_argument("--c2")
     p.add_argument("--assumption")
-    p.add_argument("--example", help="bidegree34|totaro48|trento|nori:<d>")
+    p.add_argument("--example", help=EXAMPLES)
 
     p = add("classify", _cmd_classify, "verdict table over CH^1 x CH^2")
     p.add_argument("--ambient")
     p.add_argument("--degree")
     p.add_argument("--assumption")
-    p.add_argument("--example", help="bidegree34|totaro48|trento|nori:<d>")
+    p.add_argument("--example", help=EXAMPLES)
 
     return parser, sub.choices
 
@@ -492,7 +493,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def run(argv: list[str]) -> int:
     args = _parse(_attach_signed_classes(argv))
-    _apply_preset(args, PARSER)
+    _apply_preset(args)
     for required in ("ambient", "degree", "assumption", "c1", "c2"):
         if hasattr(args, required) and getattr(args, required) is None:
             PARSER.error(f"--{required} is required (directly or via --example)")

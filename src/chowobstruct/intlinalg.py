@@ -27,7 +27,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class IntegerMatrix:
     """Immutable dense integer matrix stored as a tuple of row tuples."""
 

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -316,6 +318,34 @@ def test_value_types_are_frozen(value, names):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert [getattr(value, name) for name in names] == before
+    # a name that is not a field is refused the same way
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del value.extra
+    assert not hasattr(value, "extra")
+
+
+def _stored_forms(g: AbelianPresentation) -> AbelianPresentation:
+    g.hnf()
+    g.invariant_factors()
+    return g
+
+
+ROUND_TRIP_VALUES = {
+    "IntegerMatrix": lambda: IntegerMatrix([[1, 2], [3, 4]]),
+    "ChowClass": lambda: ChowClass(AmbientSpace((1, 3)), 2, {(1, 1): 3, (0, 2): -1}),
+    "AbelianPresentation": lambda: AbelianPresentation(("x", "y"), [[3, 0], [0, 4]]),
+    "AbelianPresentation-stored": lambda: _stored_forms(AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])),
+}
+
+
+@pytest.mark.parametrize("make", ROUND_TRIP_VALUES.values(), ids=ROUND_TRIP_VALUES.keys())
+def test_value_types_round_trip_through_copy_and_pickle(make):
+    value = make()
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
 
 
 def test_from_json():

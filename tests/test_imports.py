@@ -1,7 +1,9 @@
 """Every name a module imports is read somewhere in that module, every
 module-level function, class and constant is read or imported somewhere in
 the package, and no class writes its own __setattr__, __delattr__, __eq__ or
-__hash__: immutable value types are frozen dataclasses.
+__hash__: immutable value types are frozen dataclasses.  No dataclass passes
+slots: under slots=True the generated __setattr__ and __delattr__ of a frozen
+class raise TypeError, not FrozenInstanceError, for a name that is not a field.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -72,6 +74,23 @@ def hand_written_dunders(source: str) -> list[str]:
     return found
 
 
+def slotted_dataclasses(source: str) -> list[str]:
+    """Every class whose @dataclass(...) or @dataclasses.dataclass(...) decorator
+    passes slots; False is the default, so any value but True is noise."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            if not isinstance(deco, ast.Call):
+                continue
+            func = deco.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "dataclass" and any(kw.arg == "slots" for kw in deco.keywords):
+                found.append(node.name)
+    return found
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nc()\n"
     assert unused_imports(source) == ["os", "a"]
@@ -117,5 +136,25 @@ def test_no_class_writes_its_own_setattr_delattr_eq_or_hash():
         p.name: names
         for p in sorted(PACKAGE.glob("*.py"))
         if (names := hand_written_dunders(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_slotted_dataclasses_are_found():
+    source = (
+        "@dataclass(frozen=True, slots=True)\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass(slots=True)\nclass B:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass C:\n    x: int\n"
+        "@dataclass\nclass D:\n    x: int\n"
+        "@other(slots=True)\nclass E:\n    x: int\n"
+    )
+    assert slotted_dataclasses(source) == ["A", "B"]
+
+
+def test_no_dataclass_passes_slots():
+    found = {
+        p.name: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (names := slotted_dataclasses(p.read_text(encoding="utf-8")))
     }
     assert found == {}
