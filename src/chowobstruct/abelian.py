@@ -103,8 +103,8 @@ class AbelianPresentation:
         if not isinstance(obj, dict):
             raise ValueError("presentation must be a JSON object")
         gens = obj.get("generators")
-        if not isinstance(gens, list):
-            raise ValueError('presentation key "generators" must be a list')
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise ValueError('presentation key "generators" must be a list of strings')
         rows = obj.get("relations", [])
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError('presentation key "relations" must be a list of lists')

@@ -81,6 +81,13 @@ CLASS_OPTIONS = ("--c1", "--c2", "--a", "--b", "--class")
 # The keys of a custom:<file> assumption and the JSON types they take.
 CUSTOM_ASSUMPTION_KEYS = {"ambient": str, "degree": (int, str), "direction": str, "generators": list}
 
+# The built-in assumptions by the label each reports, which is also its name on
+# the command line.
+ASSUMPTIONS = {
+    a.label(): a
+    for a in (PushforwardAssumption.naive(), PushforwardAssumption.even_degree(), PushforwardAssumption.nori())
+}
+
 # One-flag reproductions of the worked examples: ambient, multidegree,
 # assumption, and a default Chern pair for `obstruct`.
 PRESETS = {
@@ -162,12 +169,8 @@ def _parse_ambient(text: str) -> AmbientSpace:
 
 
 def _parse_assumption(text: str) -> PushforwardAssumption:
-    if text == "naive":
-        return PushforwardAssumption.naive()
-    if text == "even-degree":
-        return PushforwardAssumption.even_degree()
-    if text == "nori":
-        return PushforwardAssumption.nori()
+    if text in ASSUMPTIONS:
+        return ASSUMPTIONS[text]
     if text.startswith("custom:"):
         path = text.split(":", 1)[1]
         try:
@@ -187,7 +190,7 @@ def _parse_assumption(text: str) -> PushforwardAssumption:
         degree = int(payload["degree"])
         gens = tuple(parse_class(ambient, g, degree=degree) for g in payload["generators"])
         return PushforwardAssumption.custom(gens, Direction(payload["direction"]), degree)
-    raise ValueError(f"unknown assumption {text!r}; use naive|even-degree|nori|custom:<file>")
+    raise ValueError(f"unknown assumption {text!r}; use {'|'.join([*ASSUMPTIONS, 'custom:<file>'])}")
 
 
 def _apply_preset(args: argparse.Namespace):

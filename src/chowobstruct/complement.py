@@ -123,7 +123,7 @@ class ExactnessCertificate:
 
     degree: int
     status: Status
-    note: str = ""
+    note: str
 
     def as_dict(self) -> dict:
         out = {"degree": self.degree, "status": self.status.value}
@@ -214,15 +214,11 @@ def certificate(model: ComplementModel, j: int, assumption: PushforwardAssumptio
     return ExactnessCertificate(degree=j, status=status, note=note)
 
 
-def complement_group(
-    model: ComplementModel, j: int, assumption: PushforwardAssumption | None = None
-) -> AbelianPresentation:
+def complement_group(model: ComplementModel, j: int, assumption: PushforwardAssumption) -> AbelianPresentation:
     """Present CH^j of the complement as (degree-j monomials) / (assumption subgroup).
 
     certificate() says how this quotient relates to the true Chow group.
     """
-    if assumption is None:
-        assumption = PushforwardAssumption.naive()
     if j < 0:
         raise ValueError("degree must be nonnegative")
     rows = _relation_rows(model, j, assumption)

@@ -102,19 +102,13 @@ def sq2_descends(model: ComplementModel) -> bool:
     )
 
 
-def decide(
-    model: ComplementModel,
-    pair: ChernPair,
-    assumption: PushforwardAssumption | None = None,
-) -> ObstructionReport:
+def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssumption) -> ObstructionReport:
     """Evaluate theta for the pair and issue a three-valued verdict.
 
     The verdict is sound relative to the declared assumption: NOT_ALGEBRAIZABLE
     is only ever derived from a quotient asserted to contain the pushforward
     image, ALGEBRAIZABLE only from a quotient by a subgroup lying inside it.
     """
-    if assumption is None:
-        assumption = PushforwardAssumption.naive()
     _check_total_dim(model)
     if pair.c1.ambient != model.ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
@@ -211,9 +205,7 @@ class ClassifyRow:
     verdict: Verdict
 
 
-def classify_all(
-    model: ComplementModel, assumption: PushforwardAssumption | None = None
-) -> list[ClassifyRow]:
+def classify_all(model: ComplementModel, assumption: PushforwardAssumption) -> list[ClassifyRow]:
     """One verdict per element of CH^1(X) x CH^2(X).
 
     Cosets are enumerated through the divisor-multiple quotients in degrees 1
@@ -238,7 +230,7 @@ def classify_all(
     ]
 
 
-def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None, render):
+def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     """Lazy iterator of (CH^1 label, rendered column), one item per CH^1 coset.
 
     A column pairs each CH^2 label with its verdict, in CH^2 enumeration
@@ -254,8 +246,6 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption | None, ren
     the first CH^2 lift of each parity.  The iterator evaluates theta only at
     the first coset of each parity of c1, on those CH^2 lifts.
     """
-    if assumption is None:
-        assumption = PushforwardAssumption.naive()
     naive = PushforwardAssumption.naive()
     g1 = complement_group(model, 1, naive)
     g2 = complement_group(model, 2, naive)

@@ -284,6 +284,31 @@ def test_domain_error_json(capsys):
     assert data["error"]["type"] == "InfiniteGroupError"
 
 
+UNKNOWN_ASSUMPTION = "usage error: unknown assumption 'bogus'; use naive|even-degree|nori|custom:<file>\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("obstruct", "--ambient", "4", "--degree", "5", "--c1", "x1", "--c2", "x1^2", "--assumption", "bogus"),
+        ("complement", "--ambient", "4", "--degree", "5", "--j", "2", "--assumption", "bogus", "--json"),
+    ],
+    ids=["obstruct", "complement-json"],
+)
+def test_unknown_assumption_message(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", UNKNOWN_ASSUMPTION)
+
+
+def test_missing_assumption_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--ambient", "4", "--degree", "5"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        "chow-obstruct: error: --assumption is required (directly or via --example)\n"
+    )
+
+
 def test_custom_assumption_file(tmp_path, capsys):
     spec = {
         "ambient": "1,3",
@@ -310,13 +335,14 @@ CUSTOM_SPEC = {"ambient": "1,3", "degree": 3, "direction": "contains_image", "ge
         ("[1]", None),
         ('{"relations": [[2]]}', None),
         ('{"generators": ["a"], "relations": 5}', None),
+        ('{"generators": [null, true], "relations": [[1, 2]]}', None),
         (None, {k: v for k, v in CUSTOM_SPEC.items() if k != "direction"}),
         (None, [CUSTOM_SPEC]),
         (None, dict(CUSTOM_SPEC, generators=["x2^3", 5])),
         # a JSON true passes isinstance(value, int); read as 1, it made a degree-1 subgroup
         (None, dict(CUSTOM_SPEC, degree=True, generators=["x2"])),
     ],
-    ids=["not-an-object", "no-generators", "relations-not-a-list",
+    ids=["not-an-object", "no-generators", "relations-not-a-list", "generators-not-strings",
          "custom-no-direction", "custom-list", "custom-number-generator", "custom-boolean-degree"],
 )
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, presentation, custom):

@@ -4,6 +4,8 @@ the package, and no class writes its own __setattr__, __delattr__, __eq__ or
 __hash__: immutable value types are frozen dataclasses.  No dataclass passes
 slots: under slots=True the generated __setattr__ and __delattr__ of a frozen
 class raise TypeError, not FrozenInstanceError, for a name that is not a field.
+No function fills in a parameter left as None (`if p is None: p = ...`): a
+default the caller cannot see is a policy written twice.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -91,6 +93,27 @@ def slotted_dataclasses(source: str) -> list[str]:
     return found
 
 
+def sentinel_defaults(source: str) -> list[str]:
+    """function.parameter for every `if P is None: P = ...` directly in a
+    function body, with a one-statement body, no else, and P a parameter of
+    that function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.If) and len(stmt.body) == 1 and not stmt.orelse):
+                continue
+            assign = stmt.body[0]
+            targets = [ast.unparse(t) for t in assign.targets] if isinstance(assign, ast.Assign) else []
+            found += [
+                f"{node.name}.{p}" for p in targets if p in params and ast.unparse(stmt.test) == f"{p} is None"
+            ]
+    return found
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nc()\n"
     assert unused_imports(source) == ["os", "a"]
@@ -156,5 +179,27 @@ def test_no_dataclass_passes_slots():
         p.name: names
         for p in sorted(PACKAGE.glob("*.py"))
         if (names := slotted_dataclasses(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_sentinel_defaults_are_found():
+    source = (
+        "def f(a, b=None, *, c=None):\n"
+        "    if b is None:\n        b = 1\n"
+        "    if c is None:\n        c = 2\n        c += 1\n"
+        "    if a is None:\n        a = 3\n    else:\n        a = 4\n"
+        "    d = None\n    if d is None:\n        d = 5\n"
+        "    return a if a is not None else b\n"
+        "class K:\n    def m(self, x=None):\n        if x is None:\n            x = []\n"
+    )
+    assert sentinel_defaults(source) == ["f.b", "m.x"]
+
+
+def test_no_function_fills_in_a_parameter_left_as_none():
+    found = {
+        p.name: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (names := sentinel_defaults(p.read_text(encoding="utf-8")))
     }
     assert found == {}

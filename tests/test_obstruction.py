@@ -257,11 +257,12 @@ def test_sq2_descends_on_models():
 
 def test_dimension_guard():
     with pytest.raises(DimensionUnsupportedError):
-        decide(ComplementModel(AmbientSpace((3,)), (2,)), pair_on(AmbientSpace((3,)), "0", "0"))
+        decide(ComplementModel(AmbientSpace((3,)), (2,)), pair_on(AmbientSpace((3,)), "0", "0"), NAIVE)
     with pytest.raises(DimensionUnsupportedError):
         decide(
             ComplementModel(AmbientSpace((1, 1)), (1, 1)),
             pair_on(AmbientSpace((1, 1)), "0", "0"),
+            NAIVE,
         )
 
 
