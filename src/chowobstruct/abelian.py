@@ -253,15 +253,26 @@ class AbelianPresentation:
         * parents in that order, each trying e_0, e_1, ... in turn, discover
           their children in lexicographically descending order, which is
           therefore the order of the next level too.
+
+        When at most one bound exceeds 1, every level holds one vector, the
+        zero vector with c in that coordinate, so the box is a plain range
+        of c; with every bound 1 it is the zero vector alone.
         """
         if not self.is_finite():
             raise InfiniteGroupError(f"group {self.describe()} is infinite")
         bounds = self._box_bounds()
         if bounds is not None:
-            if len(bounds) == 1:
-                # one generator, one coset per level: a plain range is fastest
-                for c in range(bounds[0]):
-                    yield (c,)
+            moving = [i for i, p in enumerate(bounds) if p > 1]
+            if len(moving) <= 1:
+                # one coset per level: a plain range is fastest
+                zero = (0,) * len(bounds)
+                if not moving:
+                    yield zero
+                    return
+                i = moving[0]
+                before, after = zero[:i], zero[i + 1:]
+                for c in range(bounds[i]):
+                    yield before + (c,) + after
             else:
                 for total in range(sum(bounds) - len(bounds) + 1):
                     yield from _box_level(bounds, total)

@@ -122,15 +122,15 @@ def _check_total_dim(model: ComplementModel) -> None:
         )
 
 
-def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
-    """The per-pair step of decide(), with everything that depends on the model
-    and the assumption alone built once.
+def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
+    """The verdict rule of decide(), built once per model and assumption.
 
     theta is read in degree-3 mod-2 quotients that do not depend on the pair,
-    so both quotients and their certificates are built here, and the returned
-    function only evaluates theta on a pair and picks the verdict.  Callers
-    check that the model has total dimension 4 and that the pairs live on its
-    ambient space.
+    so both quotients are built here.  Returns the assumption's quotient and
+    a function from theta's degree-3 coordinates, read mod 2, to (verdict,
+    verdict basis text, naive_zero, theta's canonical coordinates in the
+    assumption's quotient).  Callers check that the model has total dimension
+    4.
     """
     naive = PushforwardAssumption.naive()
     naive_mod2 = complement_group(model, 3, naive).tensor_mod2()
@@ -138,14 +138,10 @@ def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
         assm_mod2 = naive_mod2
     else:
         assm_mod2 = complement_group(model, 3, assumption).tensor_mod2()
-    naive_certificate = certificate(model, 3, naive)
-    assm_certificate = certificate(model, 3, assumption)
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)
     inside_side = assumption.direction in (Direction.CONTAINED_IN_IMAGE, Direction.EQUALS_IMAGE)
 
-    def evaluate(pair: ChernPair) -> ObstructionReport:
-        th = theta(pair)
-        coords = th.coords()
+    def rule(coords):
         naive_zero = naive_mod2.is_zero(coords)
         assm_image = assm_mod2.canonical_coords(coords)
         assm_zero = not any(assm_image)
@@ -174,7 +170,24 @@ def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
                 "theta survives every quotient bounding the pushforward image from below, "
                 "and no containing subgroup certifies nonvanishing"
             )
+        return verdict, basis, naive_zero, assm_image
 
+    return assm_mod2, rule
+
+
+def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
+    """The per-pair step of decide(): theta on the pair, the verdict rule on
+    its coordinates, and the justification, with the rule and both
+    certificates built once.  Callers check that the model has total
+    dimension 4 and that the pairs live on its ambient space.
+    """
+    assm_mod2, rule = _verdict_rule(model, assumption)
+    naive_certificate = certificate(model, 3, PushforwardAssumption.naive())
+    assm_certificate = certificate(model, 3, assumption)
+
+    def evaluate(pair: ChernPair) -> ObstructionReport:
+        th = theta(pair)
+        verdict, basis, naive_zero, assm_image = rule(th.coords())
         justification = {
             "assumption": assumption.label(),
             "direction": assumption.direction.value,
@@ -183,7 +196,7 @@ def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
                 "assumption": assm_certificate.as_dict(),
             },
             "naive_theta_zero": naive_zero,
-            "assumption_theta_zero": assm_zero,
+            "assumption_theta_zero": not any(assm_image),
             "verdict_basis": basis,
             "unverified_hypotheses": UNVERIFIED_HYPOTHESES,
         }
@@ -196,6 +209,47 @@ def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
         )
 
     return evaluate
+
+
+def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
+    """The verdict of every pair of parities of (c1, c2), from b2 + b1*b2
+    basis products, where b1 and b2 are the ranks of CH^1 and CH^2 of the
+    ambient space.
+
+    Returns a function of two 0/1 tuples over the degree-1 and degree-2
+    monomial bases, which are the coordinates of cosets as well, since
+    complement_group names its generators by the basis monomials.  Mod 2,
+    Sq^2 is additive and the cup product is bilinear, so theta(c1, c2) is the
+    sum over the monomials m_j of c2 of Sq^2(m_j) and of x_i*m_j for each
+    monomial x_i of c1.  Those products are computed once, by sq2 and cup on
+    one-monomial classes, as bit masks over the degree-3 basis, and the
+    function XORs them and hands theta's coordinates to the verdict rule.
+    Callers check that the model has total dimension 4.
+    """
+    ambient = model.ambient
+    index3 = {e: k for k, e in enumerate(ambient.monomial_basis(3))}
+    n3 = len(index3)
+
+    def mask(c: ChowClass) -> int:
+        return sum(1 << index3[e] for e, coeff in c.items() if coeff % 2)
+
+    monomials1 = [ChowClass.monomial(ambient, e) for e in ambient.monomial_basis(1)]
+    monomials2 = [ChowClass.monomial(ambient, e) for e in ambient.monomial_basis(2)]
+    squares = [mask(sq2(m)) for m in monomials2]
+    products = [[mask(cup(x, m)) for m in monomials2] for x in monomials1]
+    _, rule = _verdict_rule(model, assumption)
+
+    def verdict(parity1: tuple[int, ...], parity2: tuple[int, ...]) -> Verdict:
+        rows = [row for row, bit in zip(products, parity1) if bit]
+        theta_mask = 0
+        for j, bit in enumerate(parity2):
+            if bit:
+                theta_mask ^= squares[j]
+                for row in rows:
+                    theta_mask ^= row[j]
+        return rule(tuple((theta_mask >> k) & 1 for k in range(n3)))[0]
+
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -215,13 +269,15 @@ def classify_all(model: ComplementModel, assumption: PushforwardAssumption) -> l
     are the monomials of the ambient basis.  Rows run over CH^2 inside CH^1,
     both in enumeration order, so output is deterministic.
 
-    The degree-3 quotients and certificates that decide() builds per call are
-    built once per sweep, and theta, which reads the lifts only mod 2, is
-    evaluated on them once per pair of coordinate parities: at most
-    2^(b1 + b2) times, where b1 and b2 are the ranks of CH^1 and CH^2 of the
-    ambient space.  Each verdict equals decide() on the row's lift.  The list
-    comes from the sweep that `classify` streams one CH^1 coset at a time,
-    with `list` as the renderer of each verdict column.
+    The degree-3 quotients that decide() builds per call are built once per
+    sweep.  theta reads the lifts only mod 2, where Sq^2 is additive and the
+    cup product bilinear, so b2 + b1*b2 basis products determine it on every
+    pair of coordinate parities, where b1 and b2 are the ranks of CH^1 and
+    CH^2 of the ambient space: Sq^2 of each degree-2 basis monomial and each
+    product of a degree-1 with a degree-2 basis monomial.  Each verdict
+    equals decide() on the row's lift.  The list comes from the sweep that
+    `classify` streams one CH^1 coset at a time, with `list` as the renderer
+    of each verdict column.
     """
     return [
         ClassifyRow(c1=label1, c2=label2, verdict=verdict)
@@ -239,12 +295,12 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     CLI.  render runs once per parity of c1, and every coset of that parity
     yields its result.
 
-    Labels are written from coset coordinates and generator names; a ChowClass
-    is built only for a lift that theta reads.  At call time come the groups
-    of degrees 1 and 2, the finite-group guard, then the dimension guard and
-    decide()'s per-pair step with its degree-3 quotients, the CH^2 labels and
-    the first CH^2 lift of each parity.  The iterator evaluates theta only at
-    the first coset of each parity of c1, on those CH^2 lifts.
+    Labels are written from coset coordinates and generator names, and theta
+    is read off the bilinear table of _parity_verdicts, so no lift is built.
+    At call time come the groups of degrees 1 and 2, the finite-group guard,
+    then the dimension guard, the table with its degree-3 quotients, and the
+    CH^2 labels and parities.  The iterator asks the table for a verdict only
+    at the first coset of each parity of c1, once per parity of c2.
     """
     naive = PushforwardAssumption.naive()
     g1 = complement_group(model, 1, naive)
@@ -254,26 +310,19 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"
         )
     _check_total_dim(model)
-    evaluate = _pair_evaluator(model, assumption)
+    verdict = _parity_verdicts(model, assumption)
 
     cosets2 = list(g2.elements())
     labels2 = [_terms_str(zip(g2.generator_names, coords)) for coords in cosets2]
     parities2 = [tuple(c % 2 for c in coords) for coords in cosets2]
-    lifts2 = {}
-    for coords, parity2 in zip(cosets2, parities2):
-        if parity2 not in lifts2:
-            lifts2[parity2] = ChowClass.from_coords(model.ambient, 2, coords)
+    distinct2 = set(parities2)
 
     def cosets():
         columns = {}
         for coords1 in g1.elements():
             parity1 = tuple(c % 2 for c in coords1)
             if parity1 not in columns:
-                lift1 = ChowClass.from_coords(model.ambient, 1, coords1)
-                verdicts = {
-                    parity2: evaluate(ChernPair(lift1, lift2)).verdict
-                    for parity2, lift2 in lifts2.items()
-                }
+                verdicts = {parity2: verdict(parity1, parity2) for parity2 in distinct2}
                 columns[parity1] = render(zip(labels2, (verdicts[p] for p in parities2)))
             yield _terms_str(zip(g1.generator_names, coords1)), columns[parity1]
 

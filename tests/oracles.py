@@ -226,6 +226,11 @@ def gf2_total_square(a: set, dims: tuple[int, ...]) -> set[tuple[int, ...]]:
     return out
 
 
+def gf2_theta(dims: tuple[int, ...], c1: set, c2: set) -> set[tuple[int, ...]]:
+    """theta = Sq^2(c2) + c1*c2, Sq^2(c2) being the degree-3 part of the total square."""
+    return {e for e in gf2_total_square(c2, dims) if sum(e) == 3} ^ gf2_mul(c1, c2, dims)
+
+
 def theta_verdict(
     dims: tuple[int, ...],
     multidegree: tuple[int, ...],
@@ -249,7 +254,7 @@ def theta_verdict(
     def vector(a: set) -> list[int]:
         return [int(e in a) for e in degree3]
 
-    theta = {e for e in gf2_total_square(c2, dims) if sum(e) == 3} ^ gf2_mul(c1, c2, dims)
+    theta = gf2_theta(dims, c1, c2)
     z = {tuple(int(j == i) for j in range(k)) for i, d in enumerate(multidegree) if d % 2}
     naive_rows = [vector(gf2_mul(z, {m}, dims)) for m in monomials if sum(m) == 2]
     naive_zero = mod2_span_contains(naive_rows, [vector(theta)])

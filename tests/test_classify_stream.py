@@ -1,10 +1,10 @@
 """`classify` writes its table one CH^1 coset at a time.
 
 The streamed output must be byte-identical to the table rendered whole from
-`classify_all` rows, must evaluate theta (decide()'s per-pair step) on
-exactly the first lift of each parity pair, must give every row the verdict
-an independent theta oracle gives on its printed labels, must stay small in
-memory, and must write nothing before a domain error.  Every subcommand's output goes
+`classify_all` rows, must read theta off the b2 + b1*b2 basis products of
+its bilinear parity table without decide()'s per-pair step, must give every
+row the verdict an independent theta oracle gives on its printed labels, must
+stay small in memory, and must write nothing before a domain error.  Every subcommand's output goes
 through the same writer, whose closed-pipe and full-device cases are checked
 here on `classify` and on short outputs of other subcommands.
 """
@@ -15,13 +15,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from chowobstruct import obstruction
 from chowobstruct.abelian import InfiniteGroupError
-from chowobstruct.chow import AmbientSpace, ChowClass, class_str
+from chowobstruct.chow import AmbientSpace, ChowClass
 from chowobstruct.cli import dump_json, main
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.obstruction import classify_all
@@ -118,61 +119,40 @@ def test_every_row_matches_the_theta_oracle(monkeypatch):
             assert verdict == expected, (dims, degrees, assumption, line)
 
 
-def _first_lift_pairs(model):
-    """(c1, c2) labels of the first lift of each parity pair, in row order."""
-    g1 = complement_group(model, 1, NAIVE)
-    g2 = complement_group(model, 2, NAIVE)
-    seen, pairs = set(), []
-    for coords1 in g1.elements():
-        for coords2 in g2.elements():
-            key = (tuple(c % 2 for c in coords1), tuple(c % 2 for c in coords2))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((class_str(ChowClass.from_coords(model.ambient, 1, coords1)),
-                              class_str(ChowClass.from_coords(model.ambient, 2, coords2))))
-    return pairs
+# Sq^2 of each of the b2 degree-2 basis monomials and the b1*b2 products of a
+# degree-1 with a degree-2 one, per sweep
+BASIS_PRODUCTS = {(4,): {"sq2": 1, "cup": 1}, (1, 3): {"sq2": 2, "cup": 4}}
 
 
-def test_cli_calls_decide_on_the_first_lift_of_each_parity_pair(monkeypatch):
-    # the sweep builds decide()'s per-pair step once and calls it on each pair
-    pair_evaluator = obstruction._pair_evaluator
+def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
+    # theta is bilinear in the parities of (c1, c2), so a sweep computes the
+    # basis products once and never runs decide()'s per-pair step, builds a
+    # lift or pairs one up
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
     from_coords = ChowClass.from_coords.__func__
-    seen, lifts = [], []
-
-    def counting_pair_evaluator(model, assumption):
-        evaluate = pair_evaluator(model, assumption)
-
-        def counting_evaluate(pair):
-            seen.append((class_str(pair.c1), class_str(pair.c2)))
-            return evaluate(pair)
-
-        return counting_evaluate
-
-    def counting_from_coords(cls, ambient, degree, coords):
-        lifts.append((degree, tuple(coords)))
-        return from_coords(cls, ambient, degree, coords)
-
-    monkeypatch.setattr(obstruction, "_pair_evaluator", counting_pair_evaluator)
+    monkeypatch.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
+    monkeypatch.setattr(obstruction, "cup", counting("cup", obstruction.cup))
+    monkeypatch.setattr(obstruction, "_pair_evaluator", counting("per-pair step", obstruction._pair_evaluator))
+    monkeypatch.setattr(ChowClass, "from_coords", classmethod(counting("lift", from_coords)))
+    monkeypatch.setattr(obstruction.ChernPair, "__post_init__",
+                        counting("pair", obstruction.ChernPair.__post_init__))
     for dims, degrees, assumption in SWEEPS:
-        ambient = AmbientSpace(dims)
-        model = ComplementModel(ambient, degrees)
-        seen.clear()
-        lifts.clear()
-        with monkeypatch.context() as m:
-            m.setattr(ChowClass, "from_coords", classmethod(counting_from_coords))
-            classify_all(model, ASSUMPTIONS[assumption])
-        library = list(seen)
-        # a ChowClass is built only for a lift that theta is evaluated on, and only once
-        built = {(degree, class_str(from_coords(ChowClass, ambient, degree, coords)))
-                 for degree, coords in lifts}
-        assert len(built) == len(lifts), (dims, degrees, assumption)
-        assert built == {(1, c1) for c1, _ in library} | {(2, c2) for _, c2 in library}
-        seen.clear()
+        model = ComplementModel(AmbientSpace(dims), degrees)
+        calls.clear()
+        classify_all(model, ASSUMPTIONS[assumption])
+        assert calls == BASIS_PRODUCTS[dims], (dims, degrees, assumption)
+        calls.clear()
         code, _ = run_classify(monkeypatch, *_argv(dims, degrees, assumption), "--json")
         assert code == 0
-        assert seen == library == _first_lift_pairs(model), (dims, degrees, assumption)
-        rank = len(ambient.monomial_basis(1)) + len(ambient.monomial_basis(2))
-        assert len(seen) <= 2 ** rank
+        assert calls == BASIS_PRODUCTS[dims], (dims, degrees, assumption)
 
 
 class HashingSink:

@@ -18,7 +18,8 @@ from chowobstruct.obstruction import (
     theta,
 )
 
-from test_classify_stream import SWEEPS
+from oracles import gf2_theta, theta_verdict
+from test_classify_stream import EVEN_DEGREE_MOD2, SWEEPS
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -352,23 +353,26 @@ def test_classify_builds_each_group_once(monkeypatch, assumption, degrees):
 
 
 def _sweep_against_decide(monkeypatch, model, assumption):
-    """Run classify_all with calls to decide()'s per-pair step counted, check
-    every row against a direct decide() on its own lift, and return the number
-    of calls classify_all made."""
-    calls = []
+    """Run classify_all with calls to decide()'s per-pair step, sq2 and cup
+    counted, check every row against a direct decide() on its own lift, and
+    return those three counts for classify_all."""
+    calls = {"per-pair step": 0, "sq2": 0, "cup": 0}
     pair_evaluator = obstruction._pair_evaluator
 
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
     def counting_pair_evaluator(*args):
-        evaluate = pair_evaluator(*args)
-
-        def counting_evaluate(pair):
-            calls.append(pair)
-            return evaluate(pair)
-
-        return counting_evaluate
+        return counting("per-pair step", pair_evaluator(*args))
 
     with monkeypatch.context() as m:
         m.setattr(obstruction, "_pair_evaluator", counting_pair_evaluator)
+        m.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
+        m.setattr(obstruction, "cup", counting("cup", obstruction.cup))
         rows = classify_all(model, assumption)
     ambient = model.ambient
     for row in rows:
@@ -376,25 +380,74 @@ def _sweep_against_decide(monkeypatch, model, assumption):
             parse_class(ambient, row.c1, degree=1), parse_class(ambient, row.c2, degree=2)
         )
         assert decide(model, pair, assumption).verdict == row.verdict, (model, row)
-    return len(calls)
+    return calls["per-pair step"], calls["sq2"], calls["cup"]
 
 
 @pytest.mark.parametrize("assumption", [NAIVE, EVEN, NORI], ids=lambda a: a.label())
 def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
-    # theta reads c1 and c2 mod 2, so one evaluation per parity class: 2^(1+1)
+    # theta is bilinear mod 2, so the sweep reads it off Sq^2(x1^2) and
+    # x1*x1^2, and never runs the per-pair step
     for d in range(1, 13):
         calls = _sweep_against_decide(monkeypatch, ComplementModel(P4, (d,)), assumption)
-        assert 1 <= calls <= 4, (d, calls)
+        assert calls == (0, 1, 1), (d, calls)
 
 
 @pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=lambda a: a.label())
 def test_classify_p1xp3_matches_decide_on_every_row(monkeypatch, assumption):
-    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2, so at most 2^4 evaluations
+    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2: Sq^2 of 2 monomials and
+    # 2*2 products
     for d1 in range(1, 5):
         for d2 in range(1, 5):
             model = ComplementModel(P1xP3, (d1, d2))
             calls = _sweep_against_decide(monkeypatch, model, assumption)
-            assert 1 <= calls <= 16, (d1, d2, calls)
+            assert calls == (0, 2, 4), (d1, d2, calls)
+
+
+# The parity table on every ambient of total dimension 4, with every parity
+# pattern of the multidegree and a few more degrees where the table is small.
+# classify raises InfiniteGroupError on the last three ambients; the table
+# does not need finite groups.  even-degree applies only on P^4 and P^1 x P^3.
+_TABLE_GRIDS = {
+    (4,): [(d,) for d in (1, 2, 3, 4, 8, 48)],
+    (1, 3): list(itertools.product(range(1, 5), repeat=2)),
+    (2, 2): list(itertools.product(range(1, 4), repeat=2)),
+    (1, 1, 2): list(itertools.product((1, 2), repeat=3)),
+    (1, 1, 1, 1): list(itertools.product((1, 2), repeat=4)),
+}
+
+
+@pytest.mark.parametrize("dims", list(_TABLE_GRIDS), ids=lambda dims: "x".join(f"P{n}" for n in dims))
+def test_parity_table_matches_decide_and_the_theta_oracle(dims):
+    # every one of the 2^(b1 + b2) parity pairs, against decide()'s per-pair
+    # step on a lift with seeded odd coefficients -1, 1 or 3 and against the
+    # theta oracle, which runs once per distinct theta of the total square
+    # over GF(2)
+    ambient = AmbientSpace(dims)
+    basis1, basis2 = ambient.monomial_basis(1), ambient.monomial_basis(2)
+    rng = random.Random(f"table-{dims}")
+    pairs = []
+    for p1, p2 in itertools.product(itertools.product((0, 1), repeat=len(basis1)),
+                                    itertools.product((0, 1), repeat=len(basis2))):
+        lift = ChernPair(ChowClass.from_coords(ambient, 1, [p * rng.choice((-1, 1, 3)) for p in p1]),
+                         ChowClass.from_coords(ambient, 2, [p * rng.choice((-1, 1, 3)) for p in p2]))
+        c1 = {e for e, p in zip(basis1, p1) if p}
+        c2 = {e for e, p in zip(basis2, p2) if p}
+        pairs.append((p1, p2, lift, (c1, c2), frozenset(gf2_theta(dims, c1, c2))))
+    names = ["naive", "nori"] + (["even-degree"] if dims in EVEN_DEGREE_MOD2 else [])
+    for degrees in _TABLE_GRIDS[dims]:
+        model = ComplementModel(ambient, degrees)
+        for name in names:
+            assumption = ASSUMPTIONS[name]
+            rows = EVEN_DEGREE_MOD2[dims] if name == "even-degree" else None
+            table = obstruction._parity_verdicts(model, assumption)
+            evaluate = obstruction._pair_evaluator(model, assumption)
+            oracle = {}
+            for p1, p2, lift, gf2, th in pairs:
+                if th not in oracle:
+                    oracle[th] = theta_verdict(dims, degrees, *gf2, assumption.direction.value, rows)
+                verdict = table(p1, p2)
+                assert verdict == evaluate(lift).verdict, (dims, degrees, name, p1, p2)
+                assert verdict.value == oracle[th], (dims, degrees, name, p1, p2)
 
 
 # The lift-flip table.  Item-1 grids of the ROADMAP for P^4 and P^1 x P^3, with
