@@ -130,7 +130,9 @@ class AbelianPresentation:
         return tuple(d for d in diag if d != 1) + (0,) * (self.ngens - len(diag))
 
     def is_finite(self) -> bool:
-        return 0 not in self.invariant_factors()
+        """Whether the Hermite form, which elements() builds anyway, has a
+        nonzero row per generator; no Smith form is computed."""
+        return sum(map(any, self.hnf().entries)) == self.ngens
 
     def describe(self) -> str:
         """Invariant factors as a direct-sum string, e.g. 'Z/3 ⊕ Z/4' or 'Z/2 ⊕ Z'."""

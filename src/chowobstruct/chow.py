@@ -9,6 +9,7 @@ truncation bound is zero and is dropped on the spot.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -58,7 +59,9 @@ class AmbientSpace:
         return "*".join(parts) if parts else "1"
 
     def in_bounds(self, exps: Sequence[int]) -> bool:
-        return all(0 <= e <= n for e, n in zip(exps, self.factor_dims))
+        """Whether every exponent lies in [0, n] for its factor's dimension n,
+        for exps of length k; the test runs in C, as cup calls it per term."""
+        return all(map(operator.le, exps, self.factor_dims)) and min(exps) >= 0
 
     def __str__(self) -> str:
         return " x ".join(f"P^{n}" for n in self.factor_dims)

@@ -108,11 +108,54 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
     The verdict is sound relative to the declared assumption: NOT_ALGEBRAIZABLE
     is only ever derived from a quotient asserted to contain the pushforward
     image, ALGEBRAIZABLE only from a quotient by a subgroup lying inside it.
+    The verdict comes from _verdict_rule, shared with classify's table; the
+    basis text is written here, from the verdict and naive_zero.
     """
     _check_total_dim(model)
     if pair.c1.ambient != model.ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
-    return _pair_evaluator(model, assumption)(pair)
+    assm_mod2, rule = _verdict_rule(model, assumption)
+    certificates = {
+        "naive": certificate(model, 3, PushforwardAssumption.naive()).as_dict(),
+        "assumption": certificate(model, 3, assumption).as_dict(),
+    }
+    th = theta(pair)
+    verdict, naive_zero, assm_image = rule(th.coords())
+    if verdict is Verdict.NOT_ALGEBRAIZABLE:
+        basis = (
+            f"theta is nonzero in the degree-3 mod-2 quotient by the "
+            f"'{assumption.label()}' subgroup, asserted to contain the pushforward image"
+        )
+    elif verdict is Verdict.UNDETERMINED:
+        basis = (
+            "theta survives every quotient bounding the pushforward image from below, "
+            "and no containing subgroup certifies nonvanishing"
+        )
+    elif naive_zero:
+        basis = (
+            "theta vanishes in the degree-3 mod-2 quotient by the divisor-multiple "
+            "subgroup, a lower bound for the pushforward image by the projection formula"
+        )
+    else:
+        basis = (
+            f"theta vanishes in the degree-3 mod-2 quotient by the "
+            f"'{assumption.label()}' subgroup, asserted to lie inside the pushforward image"
+        )
+    return ObstructionReport(
+        theta_on_y=th,
+        theta_image=assm_image,
+        theta_quotient=assm_mod2,
+        verdict=verdict,
+        justification={
+            "assumption": assumption.label(),
+            "direction": assumption.direction.value,
+            "certificates": certificates,
+            "naive_theta_zero": naive_zero,
+            "assumption_theta_zero": not any(assm_image),
+            "verdict_basis": basis,
+            "unverified_hypotheses": UNVERIFIED_HYPOTHESES,
+        },
+    )
 
 
 def _check_total_dim(model: ComplementModel) -> None:
@@ -123,14 +166,15 @@ def _check_total_dim(model: ComplementModel) -> None:
 
 
 def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
-    """The verdict rule of decide(), built once per model and assumption.
+    """The verdict rule of decide() and classify's table, per model and assumption.
 
     theta is read in degree-3 mod-2 quotients that do not depend on the pair,
-    so both quotients are built here.  Returns the assumption's quotient and
-    a function from theta's degree-3 coordinates, read mod 2, to (verdict,
-    verdict basis text, naive_zero, theta's canonical coordinates in the
-    assumption's quotient).  Callers check that the model has total dimension
-    4.
+    so both are built here, the assumption's only when it is not the naive
+    one.  Returns the assumption's quotient and a function from theta's
+    degree-3 coordinates, read mod 2, to (verdict, naive_zero, theta's
+    canonical coordinates in the assumption's quotient), which reduces theta
+    once per distinct quotient.  Callers check that the model has total
+    dimension 4.
     """
     naive = PushforwardAssumption.naive()
     naive_mod2 = complement_group(model, 3, naive).tensor_mod2()
@@ -142,73 +186,18 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
     inside_side = assumption.direction in (Direction.CONTAINED_IN_IMAGE, Direction.EQUALS_IMAGE)
 
     def rule(coords):
-        naive_zero = naive_mod2.is_zero(coords)
         assm_image = assm_mod2.canonical_coords(coords)
         assm_zero = not any(assm_image)
-
+        naive_zero = assm_zero if assm_mod2 is naive_mod2 else naive_mod2.is_zero(coords)
         if contains_side and not assm_zero:
             verdict = Verdict.NOT_ALGEBRAIZABLE
-            basis = (
-                f"theta is nonzero in the degree-3 mod-2 quotient by the "
-                f"'{assumption.label()}' subgroup, asserted to contain the pushforward image"
-            )
         elif naive_zero or (inside_side and assm_zero):
             verdict = Verdict.ALGEBRAIZABLE
-            if naive_zero:
-                basis = (
-                    "theta vanishes in the degree-3 mod-2 quotient by the divisor-multiple "
-                    "subgroup, a lower bound for the pushforward image by the projection formula"
-                )
-            else:
-                basis = (
-                    f"theta vanishes in the degree-3 mod-2 quotient by the "
-                    f"'{assumption.label()}' subgroup, asserted to lie inside the pushforward image"
-                )
         else:
             verdict = Verdict.UNDETERMINED
-            basis = (
-                "theta survives every quotient bounding the pushforward image from below, "
-                "and no containing subgroup certifies nonvanishing"
-            )
-        return verdict, basis, naive_zero, assm_image
+        return verdict, naive_zero, assm_image
 
     return assm_mod2, rule
-
-
-def _pair_evaluator(model: ComplementModel, assumption: PushforwardAssumption):
-    """The per-pair step of decide(): theta on the pair, the verdict rule on
-    its coordinates, and the justification, with the rule and both
-    certificates built once.  Callers check that the model has total
-    dimension 4 and that the pairs live on its ambient space.
-    """
-    assm_mod2, rule = _verdict_rule(model, assumption)
-    naive_certificate = certificate(model, 3, PushforwardAssumption.naive())
-    assm_certificate = certificate(model, 3, assumption)
-
-    def evaluate(pair: ChernPair) -> ObstructionReport:
-        th = theta(pair)
-        verdict, basis, naive_zero, assm_image = rule(th.coords())
-        justification = {
-            "assumption": assumption.label(),
-            "direction": assumption.direction.value,
-            "certificates": {
-                "naive": naive_certificate.as_dict(),
-                "assumption": assm_certificate.as_dict(),
-            },
-            "naive_theta_zero": naive_zero,
-            "assumption_theta_zero": not any(assm_image),
-            "verdict_basis": basis,
-            "unverified_hypotheses": UNVERIFIED_HYPOTHESES,
-        }
-        return ObstructionReport(
-            theta_on_y=th,
-            theta_image=assm_image,
-            theta_quotient=assm_mod2,
-            verdict=verdict,
-            justification=justification,
-        )
-
-    return evaluate
 
 
 def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
@@ -223,8 +212,9 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
     sum over the monomials m_j of c2 of Sq^2(m_j) and of x_i*m_j for each
     monomial x_i of c1.  Those products are computed once, by sq2 and cup on
     one-monomial classes, as bit masks over the degree-3 basis, and the
-    function XORs them and hands theta's coordinates to the verdict rule.
-    Callers check that the model has total dimension 4.
+    function XORs them, hands theta's coordinates to decide()'s verdict rule
+    and returns the verdict, the first of the rule's three values.  Callers
+    check that the model has total dimension 4.
     """
     ambient = model.ambient
     index3 = {e: k for k, e in enumerate(ambient.monomial_basis(3))}
@@ -275,7 +265,8 @@ def classify_all(model: ComplementModel, assumption: PushforwardAssumption) -> l
     pair of coordinate parities, where b1 and b2 are the ranks of CH^1 and
     CH^2 of the ambient space: Sq^2 of each degree-2 basis monomial and each
     product of a degree-1 with a degree-2 basis monomial.  Each verdict
-    equals decide() on the row's lift.  The list comes from the sweep that
+    comes from decide()'s verdict rule on those coordinates, so it equals
+    decide() on the row's lift.  The list comes from the sweep that
     `classify` streams one CH^1 coset at a time, with `list` as the renderer
     of each verdict column.
     """
@@ -296,7 +287,8 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     yields its result.
 
     Labels are written from coset coordinates and generator names, and theta
-    is read off the bilinear table of _parity_verdicts, so no lift is built.
+    is read off the bilinear table of _parity_verdicts, so no lift, theta
+    class, report or verdict prose is built.
     At call time come the groups of degrees 1 and 2, the finite-group guard,
     then the dimension guard, the table with its degree-3 quotients, and the
     CH^2 labels and parities.  The iterator asks the table for a verdict only

@@ -55,6 +55,25 @@ def test_invariant_factors_mixed_free_and_torsion():
     assert g.describe() == "Z/2 ⊕ Z"
 
 
+def test_is_finite_reads_the_hermite_form():
+    # finite exactly when no invariant factor is 0, on free, rank-deficient
+    # and zero-row presentations; each group is fresh, so neither answer
+    # reads a form the other computed
+    rng = random.Random(149)
+    cases = [(0, []), (2, []), (1, [[0]]), (2, [[0, 0], [0, 0]]), (3, [[2, 4, 6], [4, 8, 12]])]
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        rows = [[rng.choice((0, 0, 1, -1, 2, 3, -4)) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        if rows and rng.random() < 0.3:
+            rows.append([rng.randint(-2, 2) * x for x in rows[0]])
+        cases.append((n, rows))
+    for n, rows in cases:
+        names, relations = tuple(f"g{j}" for j in range(n)), IntegerMatrix(rows, cols=n)
+        finite = AbelianPresentation(names, relations).is_finite()
+        assert finite == (0 not in AbelianPresentation(names, relations).invariant_factors()), rows
+        assert finite == (sum(map(bool, reference_snf_diagonal(rows))) == n), rows
+
+
 def test_is_zero():
     g = AbelianPresentation(("x1*x2", "x2^2"), [[4, 0], [3, 4]])
     assert g.is_zero((4, 0))

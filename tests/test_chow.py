@@ -169,6 +169,8 @@ def test_class_validation():
     # own results skip them
     for call in (
         lambda: ChowClass(P1xP3, 2, {(2, 0): 1}),  # past a truncation bound
+        lambda: ChowClass(P1xP3, 4, {(0, 4): 1}),  # past the second factor's bound
+        lambda: ChowClass(P1xP3, 2, {(-1, 3): 1}),  # a negative exponent
         lambda: ChowClass(P1xP3, 2, {(1, 0): 1}),  # wrong degree
         lambda: ChowClass(P1xP3, 2, {(1, 0, 1): 1}),  # wrong number of factors
         lambda: ChowClass(P4, -1, {}),
@@ -185,6 +187,10 @@ def test_class_validation():
     ):
         with pytest.raises(ValueError):
             call()
+    # an exponent at its factor's bound is valid
+    assert ChowClass(P1xP3, 4, {(1, 3): 1}).coeffs == {(1, 3): 1}
+    assert [P1xP3.in_bounds(e) for e in ((1, 3), (0, 0), (2, 0), (0, 4), (-1, 3), (1, -1))] == [
+        True, True, False, False, False, False]
 
 
 def _checked(c):

@@ -2,7 +2,7 @@
 
 The streamed output must be byte-identical to the table rendered whole from
 `classify_all` rows, must read theta off the b2 + b1*b2 basis products of
-its bilinear parity table without decide()'s per-pair step, must give every
+its bilinear parity table without evaluating theta on a lift, must give every
 row the verdict an independent theta oracle gives on its printed labels, must
 stay small in memory, and must write nothing before a domain error.  Every subcommand's output goes
 through the same writer, whose closed-pipe and full-device cases are checked
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from chowobstruct import obstruction
+from chowobstruct import abelian, obstruction
 from chowobstruct.abelian import InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass
 from chowobstruct.cli import dump_json, main
@@ -126,8 +126,8 @@ BASIS_PRODUCTS = {(4,): {"sq2": 1, "cup": 1}, (1, 3): {"sq2": 2, "cup": 4}}
 
 def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
     # theta is bilinear in the parities of (c1, c2), so a sweep computes the
-    # basis products once and never runs decide()'s per-pair step, builds a
-    # lift or pairs one up
+    # basis products once and never evaluates theta on a lift, builds a lift
+    # or pairs one up
     calls = Counter()
 
     def counting(name, f):
@@ -140,7 +140,7 @@ def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
     from_coords = ChowClass.from_coords.__func__
     monkeypatch.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
     monkeypatch.setattr(obstruction, "cup", counting("cup", obstruction.cup))
-    monkeypatch.setattr(obstruction, "_pair_evaluator", counting("per-pair step", obstruction._pair_evaluator))
+    monkeypatch.setattr(obstruction, "theta", counting("theta", obstruction.theta))
     monkeypatch.setattr(ChowClass, "from_coords", classmethod(counting("lift", from_coords)))
     monkeypatch.setattr(obstruction.ChernPair, "__post_init__",
                         counting("pair", obstruction.ChernPair.__post_init__))
@@ -153,6 +153,22 @@ def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
         code, _ = run_classify(monkeypatch, *_argv(dims, degrees, assumption), "--json")
         assert code == 0
         assert calls == BASIS_PRODUCTS[dims], (dims, degrees, assumption)
+
+
+def test_sweep_runs_no_smith_elimination(monkeypatch):
+    # the finite-group guard and the coset enumeration read the Hermite form,
+    # and the degree-3 quotients write their Smith diagonal down mod 2
+    calls = []
+    smith_diagonal = abelian.smith_diagonal
+
+    def counting_smith_diagonal(a):
+        calls.append(a)
+        return smith_diagonal(a)
+
+    monkeypatch.setattr(abelian, "smith_diagonal", counting_smith_diagonal)
+    for dims, degrees, assumption in SWEEPS:
+        classify_all(ComplementModel(AmbientSpace(dims), degrees), ASSUMPTIONS[assumption])
+        assert calls == [], (dims, degrees, assumption)
 
 
 class HashingSink:

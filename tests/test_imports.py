@@ -5,7 +5,9 @@ __hash__: immutable value types are frozen dataclasses.  No dataclass passes
 slots: under slots=True the generated __setattr__ and __delattr__ of a frozen
 class raise TypeError, not FrozenInstanceError, for a name that is not a field.
 No function fills in a parameter left as None (`if p is None: p = ...`): a
-default the caller cannot see is a policy written twice.
+default the caller cannot see is a policy written twice.  No call's callee is
+itself a call to a package function (`make(x)(y)`): a factory whose result is
+called once on the spot is one function split in two.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -114,6 +116,28 @@ def sentinel_defaults(source: str) -> list[str]:
     return found
 
 
+def immediately_called_factories(source: str) -> list[str]:
+    """line:name for every call whose callee is a call to `name`, a function
+    defined in the source or imported from a module of the package (a
+    relative import); methods count by name, through any attribute."""
+    tree = ast.parse(source)
+    package = {
+        node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.update(alias.asname or alias.name for alias in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Call)):
+            continue
+        inner = node.func.func
+        name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+        if name in package:
+            found.append((node.lineno, name))
+    return [f"{line}:{name}" for line, name in sorted(found)]
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os.path\nfrom x import a, b as c\nc()\n"
     assert unused_imports(source) == ["os", "a"]
@@ -201,5 +225,29 @@ def test_no_function_fills_in_a_parameter_left_as_none():
         p.name: names
         for p in sorted(PACKAGE.glob("*.py"))
         if (names := sentinel_defaults(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_immediately_called_factories_are_found():
+    source = (
+        "from .m import make\nfrom os import path\n"
+        "def build(a):\n    def inner(b):\n        return a + b\n    return inner\n"
+        "class K:\n    def rule(self):\n        return len\n"
+        "x = build(1)(2)\n"
+        "y = make()(3)\n"
+        "z = K().rule()(4)\n"
+        "w = path.join('a')('b')\n"
+        "v = sorted(build(1))\n"
+        "u = (lambda: len)()('s')\n"
+    )
+    assert immediately_called_factories(source) == ["10:build", "11:make", "12:rule"]
+
+
+def test_no_factory_is_called_once_on_the_spot():
+    found = {
+        p.name: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (names := immediately_called_factories(p.read_text(encoding="utf-8")))
     }
     assert found == {}

@@ -163,13 +163,13 @@ def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, reduct
     assert report.theta_quotient == tensor_mod2(complement_group(model, 3, assumption))
 
 
-def test_each_report_of_one_sweep_owns_its_justification():
-    # the sweep builds decide()'s per-pair step once; a caller editing one
-    # report's justification must not reach the next report's
-    evaluate = obstruction._pair_evaluator(ComplementModel(P1xP3, (3, 4)), EVEN)
-    first = evaluate(pair_on(P1xP3, "0", "x1*x2"))
+def test_each_decide_report_owns_its_justification():
+    # a caller editing one report's justification must not reach the next
+    # report's on the same model
+    model = ComplementModel(P1xP3, (3, 4))
+    first = decide(model, pair_on(P1xP3, "0", "x1*x2"), EVEN)
     first.justification["certificates"]["naive"]["status"] = "edited"
-    second = evaluate(pair_on(P1xP3, "0", "x1*x2"))
+    second = decide(model, pair_on(P1xP3, "0", "x1*x2"), EVEN)
     assert second.justification["certificates"]["naive"]["status"] == "UPPER_BOUND_ONLY"
     assert second.justification is not first.justification
 
@@ -353,11 +353,10 @@ def test_classify_builds_each_group_once(monkeypatch, assumption, degrees):
 
 
 def _sweep_against_decide(monkeypatch, model, assumption):
-    """Run classify_all with calls to decide()'s per-pair step, sq2 and cup
-    counted, check every row against a direct decide() on its own lift, and
-    return those three counts for classify_all."""
-    calls = {"per-pair step": 0, "sq2": 0, "cup": 0}
-    pair_evaluator = obstruction._pair_evaluator
+    """Run classify_all with calls to theta, sq2 and cup counted, check every
+    row against a direct decide() on its own lift, and return those three
+    counts for classify_all."""
+    calls = {"theta": 0, "sq2": 0, "cup": 0}
 
     def counting(name, f):
         def wrapper(*args):
@@ -366,11 +365,8 @@ def _sweep_against_decide(monkeypatch, model, assumption):
 
         return wrapper
 
-    def counting_pair_evaluator(*args):
-        return counting("per-pair step", pair_evaluator(*args))
-
     with monkeypatch.context() as m:
-        m.setattr(obstruction, "_pair_evaluator", counting_pair_evaluator)
+        m.setattr(obstruction, "theta", counting("theta", obstruction.theta))
         m.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
         m.setattr(obstruction, "cup", counting("cup", obstruction.cup))
         rows = classify_all(model, assumption)
@@ -380,13 +376,13 @@ def _sweep_against_decide(monkeypatch, model, assumption):
             parse_class(ambient, row.c1, degree=1), parse_class(ambient, row.c2, degree=2)
         )
         assert decide(model, pair, assumption).verdict == row.verdict, (model, row)
-    return calls["per-pair step"], calls["sq2"], calls["cup"]
+    return calls["theta"], calls["sq2"], calls["cup"]
 
 
 @pytest.mark.parametrize("assumption", [NAIVE, EVEN, NORI], ids=lambda a: a.label())
 def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
     # theta is bilinear mod 2, so the sweep reads it off Sq^2(x1^2) and
-    # x1*x1^2, and never runs the per-pair step
+    # x1*x1^2, and never evaluates theta on a lift
     for d in range(1, 13):
         calls = _sweep_against_decide(monkeypatch, ComplementModel(P4, (d,)), assumption)
         assert calls == (0, 1, 1), (d, calls)
@@ -418,10 +414,10 @@ _TABLE_GRIDS = {
 
 @pytest.mark.parametrize("dims", list(_TABLE_GRIDS), ids=lambda dims: "x".join(f"P{n}" for n in dims))
 def test_parity_table_matches_decide_and_the_theta_oracle(dims):
-    # every one of the 2^(b1 + b2) parity pairs, against decide()'s per-pair
-    # step on a lift with seeded odd coefficients -1, 1 or 3 and against the
-    # theta oracle, which runs once per distinct theta of the total square
-    # over GF(2)
+    # every one of the 2^(b1 + b2) parity pairs, against decide()'s verdict
+    # rule on theta of a lift with seeded odd coefficients -1, 1 or 3 and
+    # against the theta oracle, which runs once per distinct theta of the
+    # total square over GF(2)
     ambient = AmbientSpace(dims)
     basis1, basis2 = ambient.monomial_basis(1), ambient.monomial_basis(2)
     rng = random.Random(f"table-{dims}")
@@ -440,14 +436,40 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
             assumption = ASSUMPTIONS[name]
             rows = EVEN_DEGREE_MOD2[dims] if name == "even-degree" else None
             table = obstruction._parity_verdicts(model, assumption)
-            evaluate = obstruction._pair_evaluator(model, assumption)
+            _, rule = obstruction._verdict_rule(model, assumption)
             oracle = {}
             for p1, p2, lift, gf2, th in pairs:
                 if th not in oracle:
                     oracle[th] = theta_verdict(dims, degrees, *gf2, assumption.direction.value, rows)
                 verdict = table(p1, p2)
-                assert verdict == evaluate(lift).verdict, (dims, degrees, name, p1, p2)
+                assert verdict == rule(theta(lift).coords())[0], (dims, degrees, name, p1, p2)
                 assert verdict.value == oracle[th], (dims, degrees, name, p1, p2)
+
+
+@pytest.mark.parametrize(
+    "assumption, reductions", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
+)
+def test_parity_table_reduces_theta_once_per_distinct_quotient(monkeypatch, assumption, reductions):
+    # naive and nori read theta in one degree-3 mod-2 quotient, so the verdict
+    # rule reduces it once; even-degree reads it in its own and the naive one
+    calls = []
+    canonical_coords = AbelianPresentation.canonical_coords
+
+    def counting_canonical_coords(group, coords):
+        calls.append(coords)
+        return canonical_coords(group, coords)
+
+    for model in (ComplementModel(P4, (48,)), ComplementModel(P1xP3, (3, 4))):
+        ambient = model.ambient
+        parities1 = list(itertools.product((0, 1), repeat=len(ambient.monomial_basis(1))))
+        parities2 = list(itertools.product((0, 1), repeat=len(ambient.monomial_basis(2))))
+        table = obstruction._parity_verdicts(model, assumption)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(AbelianPresentation, "canonical_coords", counting_canonical_coords)
+            for p1, p2 in itertools.product(parities1, parities2):
+                table(p1, p2)
+        assert len(calls) == reductions * len(parities1) * len(parities2), model
 
 
 # The lift-flip table.  Item-1 grids of the ROADMAP for P^4 and P^1 x P^3, with
@@ -484,14 +506,14 @@ _FLIPS = {
 
 def _flipping_lifts(model, assumption, pairs):
     """The lifts among c1 + z, c1 + a degree-1 relation row and c2 + a degree-2
-    relation row that change the verdict of decide()'s per-pair step on one of
-    the pairs."""
+    relation row that change the verdict decide() gives on one of the pairs,
+    read from decide()'s verdict rule on theta of the lift."""
     ambient = model.ambient
-    evaluate = obstruction._pair_evaluator(model, assumption)
+    _, rule = obstruction._verdict_rule(model, assumption)
 
     def verdict(c1, c2):
         pair = ChernPair(ChowClass.from_coords(ambient, 1, c1), ChowClass.from_coords(ambient, 2, c2))
-        return evaluate(pair).verdict
+        return rule(theta(pair).coords())[0]
 
     def plus(a, b):
         return [x + y for x, y in zip(a, b)]
