@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
     IntegerMatrix,
+    _gf2_span,
     hermite_normal_form,
     hermite_reduce,
     smith_diagonal,
@@ -177,48 +178,14 @@ class AbelianPresentation:
     def tensor_mod2(self) -> "AbelianPresentation":
         """The mod-2 reduction: same generators, relations extended by 2*(each generator).
 
-        Its Hermite form and Smith diagonal are written down from a GF(2)
-        elimination instead of being computed over Z.  The new lattice L
-        contains 2Z^n, so L is the preimage of the GF(2) span V of the
-        relations.  Let E be the reduced row echelon form of the relations
-        mod 2, of rank r, with pivot columns P.  Take, column by column, the
-        row of E with its pivot there, lifted to 0/1 entries, or 2*e_j where
-        column j is not in P, then pad with zero rows to the m + n rows of
-        the relation matrix.  These rows are in echelon form with pivots 1
-        and 2; above a pivot 1 every entry is 0 (E is reduced and 2*e_j has
-        no entry there) and above a pivot 2 every entry is 0 or 1.  They lie
-        in L, and they span it: their reductions span V, and 2*e_p for a
-        pivot column p is twice its row minus the 2*e_j of that row's other
-        columns.  So they are the Hermite form of L, which is unique, and
-        Z^n/L = GF(2)^n/V has the Smith diagonal (1,)*r + (2,)*(n - r).
+        Only its Smith diagonal is stored: the quotient is GF(2)^n / V for V
+        the GF(2) span of the relations, of rank r, so the diagonal is
+        (1,)*r + (2,)*(n - r).
         """
         n = self.ngens
-        rows = self.relations.entries
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
-        # each row mod 2 as a bit mask, column 0 in the highest bit; the
-        # echelon form maps each pivot's bit to the one row holding it
-        echelon: dict[int, int] = {}
-        for row in rows:
-            v = 0
-            for x in row:
-                v = (v << 1) | (x & 1)
-            for bit, w in echelon.items():
-                if v & bit:
-                    v ^= w
-            if v:
-                bit = 1 << (v.bit_length() - 1)
-                for pivot, w in list(echelon.items()):
-                    if w & bit:
-                        echelon[pivot] = w ^ v
-                echelon[bit] = v
-        hnf = []
-        for j in range(n):
-            v = echelon.get(1 << (n - 1 - j))
-            hnf.append(twos[j] if v is None else tuple((v >> (n - 1 - k)) & 1 for k in range(n)))
-        hnf.extend(((0,) * n,) * len(rows))
-        rank = len(echelon)
-        out = AbelianPresentation(self.generator_names, IntegerMatrix._trusted(rows + twos, n))
-        object.__setattr__(out, "_hnf", IntegerMatrix._trusted(tuple(hnf), n))
+        rank = len(_gf2_span(self.relations.entries))
+        out = AbelianPresentation(self.generator_names, IntegerMatrix._trusted(self.relations.entries + twos, n))
         object.__setattr__(out, "_diagonal", (1,) * rank + (2,) * (n - rank))
         return out
 

@@ -168,7 +168,8 @@ def _parse_ambient(text: str) -> AmbientSpace:
     return AmbientSpace(tuple(int(p) for p in text.split(",")))
 
 
-def _parse_assumption(text: str) -> PushforwardAssumption:
+def _parse_assumption(text: str, ambient: AmbientSpace) -> PushforwardAssumption:
+    """The named assumption; a custom: file must be written for this ambient."""
     if text in ASSUMPTIONS:
         return ASSUMPTIONS[text]
     if text.startswith("custom:"):
@@ -186,7 +187,9 @@ def _parse_assumption(text: str) -> PushforwardAssumption:
                 raise ValueError(f"assumption file {path}: {key!r} is missing or malformed")
         if not all(isinstance(g, str) for g in payload["generators"]):
             raise ValueError(f"assumption file {path}: 'generators' must hold class literals")
-        ambient = _parse_ambient(payload["ambient"])
+        file_ambient = _parse_ambient(payload["ambient"])
+        if file_ambient != ambient:
+            raise InapplicableAssumptionError(f"assumption file {path} is for {file_ambient}, not {ambient}")
         degree = int(payload["degree"])
         gens = tuple(parse_class(ambient, g, degree=degree) for g in payload["generators"])
         return PushforwardAssumption.custom(gens, Direction(payload["direction"]), degree)
@@ -282,7 +285,7 @@ def _cmd_sq2(args) -> dict | str:
 
 def _cmd_complement(args) -> dict | str:
     model = _model_from_args(args)
-    assumption = _parse_assumption(args.assumption)
+    assumption = _parse_assumption(args.assumption, model.ambient)
     group = complement_group(model, args.j, assumption)
     cert = certificate(model, args.j, assumption)
     if args.json:
@@ -315,7 +318,7 @@ def _cmd_closed_form(args) -> dict | str:
 
 def _cmd_obstruct(args) -> dict | str:
     model = _model_from_args(args)
-    assumption = _parse_assumption(args.assumption)
+    assumption = _parse_assumption(args.assumption, model.ambient)
     pair = ChernPair(
         parse_class(model.ambient, args.c1, degree=1),
         parse_class(model.ambient, args.c2, degree=2),
@@ -360,7 +363,7 @@ def _cmd_classify(args) -> Iterator[str]:
     frames and key writer.
     """
     model = _model_from_args(args)
-    assumption = _parse_assumption(args.assumption)
+    assumption = _parse_assumption(args.assumption, model.ambient)
     if args.json:
         quote = encode_basestring_ascii
         head, sep, end = _json_frame("[", "]", "\n")

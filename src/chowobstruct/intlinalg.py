@@ -267,3 +267,33 @@ def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
                 w[k] -= q * row[k]
         pj += 1
     return tuple(w)
+
+
+def _gf2_mask(vector: Iterable[int]) -> int:
+    """The vector mod 2 as a bit mask: bit k holds coordinate k."""
+    return sum(1 << k for k, x in enumerate(vector) if x & 1)
+
+
+def _gf2_span(rows: Iterable[Iterable[int]]) -> dict[int, int]:
+    """The reduced echelon form of the rows mod 2, as masks keyed by their
+    lowest set bit: the leftmost column, the pivot hermite_normal_form picks."""
+    span: dict[int, int] = {}
+    for row in rows:
+        v = _gf2_reduce(span, _gf2_mask(row))
+        if v:
+            pivot = v & -v
+            span = {bit: w ^ v if w & pivot else w for bit, w in span.items()}
+            span[pivot] = v
+    return span
+
+
+def _gf2_reduce(span: dict[int, int], v: int) -> int:
+    """v modulo the span, with no pivot bit set; 0 exactly when v lies in it.
+
+    As a 0/1 vector this is hermite_reduce against the Hermite form of the
+    rows stacked on 2*I, whose rows are the span's and 2*e_j off its pivots.
+    """
+    for bit, w in span.items():
+        if v & bit:
+            v ^= w
+    return v

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .abelian import AbelianPresentation, InfiniteGroupError
-from .chow import AmbientMismatchError, ChowClass, _terms_str, cup, reduce_mod2
+from .chow import AmbientMismatchError, ChowClass, _divisor_columns, _terms_str, cup, reduce_mod2
 from .complement import ComplementModel, Direction, PushforwardAssumption, certificate, complement_group
+from .intlinalg import _gf2_mask, _gf2_reduce, _gf2_span
 from .steenrod import sq2
 
 UNVERIFIED_HYPOTHESES = (
@@ -95,9 +96,9 @@ def sq2_descends(model: ComplementModel) -> bool:
     as the executable check of that argument.
     """
     naive = PushforwardAssumption.naive()
-    quotient = complement_group(model, 3, naive).tensor_mod2()
-    return all(
-        quotient.is_zero(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords())
+    span = _gf2_span(complement_group(model, 3, naive).relations.entries)
+    return not any(
+        _gf2_reduce(span, _gf2_mask(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords()))
         for rel in complement_group(model, 2, naive).relations.entries
     )
 
@@ -114,13 +115,13 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
     _check_total_dim(model)
     if pair.c1.ambient != model.ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
-    assm_mod2, rule = _verdict_rule(model, assumption)
+    assm_group, rule = _verdict_rule(model, assumption)
     certificates = {
         "naive": certificate(model, 3, PushforwardAssumption.naive()).as_dict(),
         "assumption": certificate(model, 3, assumption).as_dict(),
     }
     th = theta(pair)
-    verdict, naive_zero, assm_image = rule(th.coords())
+    verdict, naive_zero, assm_mask = rule(_gf2_mask(th.coords()))
     if verdict is Verdict.NOT_ALGEBRAIZABLE:
         basis = (
             f"theta is nonzero in the degree-3 mod-2 quotient by the "
@@ -143,15 +144,15 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
         )
     return ObstructionReport(
         theta_on_y=th,
-        theta_image=assm_image,
-        theta_quotient=assm_mod2,
+        theta_image=tuple((assm_mask >> k) & 1 for k in range(assm_group.ngens)),
+        theta_quotient=assm_group.tensor_mod2(),
         verdict=verdict,
         justification={
             "assumption": assumption.label(),
             "direction": assumption.direction.value,
             "certificates": certificates,
             "naive_theta_zero": naive_zero,
-            "assumption_theta_zero": not any(assm_image),
+            "assumption_theta_zero": not assm_mask,
             "verdict_basis": basis,
             "unverified_hypotheses": UNVERIFIED_HYPOTHESES,
         },
@@ -168,36 +169,37 @@ def _check_total_dim(model: ComplementModel) -> None:
 def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
     """The verdict rule of decide() and classify's table, per model and assumption.
 
-    theta is read in degree-3 mod-2 quotients that do not depend on the pair,
+    theta is read modulo degree-3 GF(2) spans that do not depend on the pair,
     so both are built here, the assumption's only when it is not the naive
-    one.  Returns the assumption's quotient and a function from theta's
-    degree-3 coordinates, read mod 2, to (verdict, naive_zero, theta's
-    canonical coordinates in the assumption's quotient), which reduces theta
-    once per distinct quotient.  Callers check that the model has total
-    dimension 4.
+    one.  Returns the assumption's degree-3 group and a function from theta's
+    _gf2_mask to (verdict, naive_zero, theta's mask reduced modulo the
+    assumption's span, its canonical coordinates in the group's tensor_mod2),
+    which reduces theta once per distinct span.  Callers check that the model
+    has total dimension 4.
     """
     naive = PushforwardAssumption.naive()
-    naive_mod2 = complement_group(model, 3, naive).tensor_mod2()
+    naive_group = complement_group(model, 3, naive)
+    naive_span = _gf2_span(naive_group.relations.entries)
     if assumption.presents_divisor_multiples:
-        assm_mod2 = naive_mod2
+        assm_group, assm_span = naive_group, naive_span
     else:
-        assm_mod2 = complement_group(model, 3, assumption).tensor_mod2()
+        assm_group = complement_group(model, 3, assumption)
+        assm_span = _gf2_span(assm_group.relations.entries)
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)
     inside_side = assumption.direction in (Direction.CONTAINED_IN_IMAGE, Direction.EQUALS_IMAGE)
 
-    def rule(coords):
-        assm_image = assm_mod2.canonical_coords(coords)
-        assm_zero = not any(assm_image)
-        naive_zero = assm_zero if assm_mod2 is naive_mod2 else naive_mod2.is_zero(coords)
-        if contains_side and not assm_zero:
+    def rule(mask):
+        assm_mask = _gf2_reduce(assm_span, mask)
+        naive_zero = not (assm_mask if assm_span is naive_span else _gf2_reduce(naive_span, mask))
+        if contains_side and assm_mask:
             verdict = Verdict.NOT_ALGEBRAIZABLE
-        elif naive_zero or (inside_side and assm_zero):
+        elif naive_zero or (inside_side and not assm_mask):
             verdict = Verdict.ALGEBRAIZABLE
         else:
             verdict = Verdict.UNDETERMINED
-        return verdict, naive_zero, assm_image
+        return verdict, naive_zero, assm_mask
 
-    return assm_mod2, rule
+    return assm_group, rule
 
 
 def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
@@ -210,23 +212,18 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
     complement_group names its generators by the basis monomials.  Mod 2,
     Sq^2 is additive and the cup product is bilinear, so theta(c1, c2) is the
     sum over the monomials m_j of c2 of Sq^2(m_j) and of x_i*m_j for each
-    monomial x_i of c1.  Those products are computed once, by sq2 and cup on
-    one-monomial classes, as bit masks over the degree-3 basis, and the
-    function XORs them, hands theta's coordinates to decide()'s verdict rule
+    monomial x_i of c1.  Those products are computed once as _gf2_mask bit
+    masks, by sq2 on each m_j and the degree-3 _divisor_columns of each x_i,
+    and the function XORs them, hands theta's mask to decide()'s verdict rule
     and returns the verdict, the first of the rule's three values.  Callers
     check that the model has total dimension 4.
     """
     ambient = model.ambient
-    index3 = {e: k for k, e in enumerate(ambient.monomial_basis(3))}
-    n3 = len(index3)
-
-    def mask(c: ChowClass) -> int:
-        return sum(1 << index3[e] for e, coeff in c.items() if coeff % 2)
-
-    monomials1 = [ChowClass.monomial(ambient, e) for e in ambient.monomial_basis(1)]
-    monomials2 = [ChowClass.monomial(ambient, e) for e in ambient.monomial_basis(2)]
-    squares = [mask(sq2(m)) for m in monomials2]
-    products = [[mask(cup(x, m)) for m in monomials2] for x in monomials1]
+    squares = [_gf2_mask(sq2(ChowClass.monomial(ambient, e)).coords()) for e in ambient.monomial_basis(2)]
+    products = [
+        [_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass.monomial(ambient, e), 3)]
+        for e in ambient.monomial_basis(1)
+    ]
     _, rule = _verdict_rule(model, assumption)
 
     def verdict(parity1: tuple[int, ...], parity2: tuple[int, ...]) -> Verdict:
@@ -237,7 +234,7 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
                 theta_mask ^= squares[j]
                 for row in rows:
                     theta_mask ^= row[j]
-        return rule(tuple((theta_mask >> k) & 1 for k in range(n3)))[0]
+        return rule(theta_mask)[0]
 
     return verdict
 

@@ -14,7 +14,14 @@ from chowobstruct.abelian import (
 )
 from chowobstruct.chow import AmbientSpace, ChowClass
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
-from chowobstruct.intlinalg import IntegerMatrix, hermite_normal_form
+from chowobstruct.intlinalg import (
+    IntegerMatrix,
+    _gf2_mask,
+    _gf2_reduce,
+    _gf2_span,
+    hermite_normal_form,
+    hermite_reduce,
+)
 
 from oracles import (
     bfs_cosets,
@@ -190,6 +197,27 @@ def test_tensor_mod2_matches_the_general_path():
         assert quotient.invariant_factors() == expected, group
         general = AbelianPresentation(quotient.generator_names, quotient.relations)
         assert general.invariant_factors() == expected
+
+
+def test_gf2_reduce_matches_hermite_reduce():
+    # XOR reduction against the GF(2) span equals reduction against the
+    # Hermite form of the relations stacked on 2*I, on integer vectors of
+    # either sign, and the span's rank gives the count of Z/2 summands
+    rng = random.Random(137)
+    for group in _tensor_mod2_inputs():
+        n = group.ngens
+        rows = group.relations.entries
+        twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
+        h = hermite_normal_form(IntegerMatrix(rows + twos, cols=n))
+        span = _gf2_span(rows)
+        for _ in range(5):
+            v = [rng.choice((0, 1, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6))) for _ in range(n)]
+            reduced = _gf2_reduce(span, _gf2_mask(v))
+            assert tuple((reduced >> k) & 1 for k in range(n)) == hermite_reduce(h, v), (group, v)
+        for row in rows:
+            assert not _gf2_reduce(span, _gf2_mask(row)), (group, row)
+        general = AbelianPresentation(group.generator_names, IntegerMatrix(rows + twos, cols=n))
+        assert n - len(span) == general.invariant_factors().count(2), group
 
 
 def test_enumerate_counts():

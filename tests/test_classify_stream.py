@@ -119,9 +119,10 @@ def test_every_row_matches_the_theta_oracle(monkeypatch):
             assert verdict == expected, (dims, degrees, assumption, line)
 
 
-# Sq^2 of each of the b2 degree-2 basis monomials and the b1*b2 products of a
-# degree-1 with a degree-2 one, per sweep
-BASIS_PRODUCTS = {(4,): {"sq2": 1, "cup": 1}, (1, 3): {"sq2": 2, "cup": 4}}
+# Sq^2 of each of the b2 degree-2 basis monomials, and the b1*b2 products of a
+# degree-1 with a degree-2 one from one _divisor_columns call per degree-1
+# monomial, per sweep; no cup
+BASIS_PRODUCTS = {(4,): {"sq2": 1, "divisor_columns": 1}, (1, 3): {"sq2": 2, "divisor_columns": 2}}
 
 
 def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
@@ -140,6 +141,8 @@ def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
     from_coords = ChowClass.from_coords.__func__
     monkeypatch.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
     monkeypatch.setattr(obstruction, "cup", counting("cup", obstruction.cup))
+    monkeypatch.setattr(obstruction, "_divisor_columns",
+                        counting("divisor_columns", obstruction._divisor_columns))
     monkeypatch.setattr(obstruction, "theta", counting("theta", obstruction.theta))
     monkeypatch.setattr(ChowClass, "from_coords", classmethod(counting("lift", from_coords)))
     monkeypatch.setattr(obstruction.ChernPair, "__post_init__",

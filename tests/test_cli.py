@@ -329,6 +329,32 @@ def test_custom_assumption_file(tmp_path, capsys):
 CUSTOM_SPEC = {"ambient": "1,3", "degree": 3, "direction": "contains_image", "generators": ["x2^3"]}
 
 
+@pytest.mark.parametrize("generators", [[], ["x2^3"]], ids=["empty", "nonempty"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("obstruct", "--ambient", "4", "--degree", "5", "--c1", "x1", "--c2", "x1^2"),
+        ("classify", "--ambient", "4", "--degree", "5"),
+        ("complement", "--ambient", "4", "--degree", "5", "--j", "3"),
+    ],
+    ids=["obstruct", "classify", "complement"],
+)
+def test_custom_file_on_another_ambient_is_inapplicable(tmp_path, capsys, argv, generators):
+    # a file written for P^1 x P^3 does not apply on P^4, even when it lists
+    # no generators, whose empty subgroup would otherwise fit any ambient
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(dict(CUSTOM_SPEC, generators=generators)))
+    argv = (*argv, "--assumption", f"custom:{path}")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "P^1 x P^3" in err and "P^4" in err
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["type"] == "InapplicableAssumptionError"
+    assert "P^1 x P^3" in error["message"] and "P^4" in error["message"]
+
+
 @pytest.mark.parametrize(
     "presentation, custom",
     [

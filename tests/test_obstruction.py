@@ -8,6 +8,7 @@ from chowobstruct import obstruction
 from chowobstruct.abelian import AbelianPresentation, InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
+from chowobstruct.intlinalg import _gf2_mask
 from chowobstruct.obstruction import (
     ChernPair,
     DimensionUnsupportedError,
@@ -137,11 +138,12 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
 
 
 @pytest.mark.parametrize(
-    "assumption, reductions", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
+    "assumption, groups", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
 )
-def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, reductions):
-    # naive and nori present the same degree-3 group, so decide() builds it and
-    # reduces it mod 2 once
+def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, groups):
+    # naive and nori present the same degree-3 group, so decide() builds it
+    # once; the naive group is read through its GF(2) span, and only the
+    # assumption's group is reduced mod 2 as a presentation, for the report
     reduced, built = [], []
     tensor_mod2 = AbelianPresentation.tensor_mod2
 
@@ -157,8 +159,8 @@ def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, reduct
     monkeypatch.setattr(AbelianPresentation, "tensor_mod2", counting_tensor_mod2)
     monkeypatch.setattr(obstruction, "complement_group", counting_complement_group)
     report = decide(model, pair_on(P1xP3, "0", "x1*x2"), assumption)
-    assert len(reduced) == reductions
-    assert len(built) == reductions
+    assert len(reduced) == 1
+    assert len(built) == groups
     # the image still lies in the reduction of the assumption's own group
     assert report.theta_quotient == tensor_mod2(complement_group(model, 3, assumption))
 
@@ -382,21 +384,22 @@ def _sweep_against_decide(monkeypatch, model, assumption):
 @pytest.mark.parametrize("assumption", [NAIVE, EVEN, NORI], ids=lambda a: a.label())
 def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
     # theta is bilinear mod 2, so the sweep reads it off Sq^2(x1^2) and
-    # x1*x1^2, and never evaluates theta on a lift
+    # x1*x1^2, the latter from the divisor columns of x1, and never evaluates
+    # theta on a lift or calls cup
     for d in range(1, 13):
         calls = _sweep_against_decide(monkeypatch, ComplementModel(P4, (d,)), assumption)
-        assert calls == (0, 1, 1), (d, calls)
+        assert calls == (0, 1, 0), (d, calls)
 
 
 @pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=lambda a: a.label())
 def test_classify_p1xp3_matches_decide_on_every_row(monkeypatch, assumption):
     # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2: Sq^2 of 2 monomials and
-    # 2*2 products
+    # 2*2 products, read off divisor columns with no cup
     for d1 in range(1, 5):
         for d2 in range(1, 5):
             model = ComplementModel(P1xP3, (d1, d2))
             calls = _sweep_against_decide(monkeypatch, model, assumption)
-            assert calls == (0, 2, 4), (d1, d2, calls)
+            assert calls == (0, 2, 0), (d1, d2, calls)
 
 
 # The parity table on every ambient of total dimension 4, with every parity
@@ -442,7 +445,7 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
                 if th not in oracle:
                     oracle[th] = theta_verdict(dims, degrees, *gf2, assumption.direction.value, rows)
                 verdict = table(p1, p2)
-                assert verdict == rule(theta(lift).coords())[0], (dims, degrees, name, p1, p2)
+                assert verdict == rule(_gf2_mask(theta(lift).coords()))[0], (dims, degrees, name, p1, p2)
                 assert verdict.value == oracle[th], (dims, degrees, name, p1, p2)
 
 
@@ -450,14 +453,14 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
     "assumption, reductions", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
 )
 def test_parity_table_reduces_theta_once_per_distinct_quotient(monkeypatch, assumption, reductions):
-    # naive and nori read theta in one degree-3 mod-2 quotient, so the verdict
+    # naive and nori read theta in one degree-3 GF(2) span, so the verdict
     # rule reduces it once; even-degree reads it in its own and the naive one
     calls = []
-    canonical_coords = AbelianPresentation.canonical_coords
+    gf2_reduce = obstruction._gf2_reduce
 
-    def counting_canonical_coords(group, coords):
-        calls.append(coords)
-        return canonical_coords(group, coords)
+    def counting_gf2_reduce(span, mask):
+        calls.append(mask)
+        return gf2_reduce(span, mask)
 
     for model in (ComplementModel(P4, (48,)), ComplementModel(P1xP3, (3, 4))):
         ambient = model.ambient
@@ -466,7 +469,7 @@ def test_parity_table_reduces_theta_once_per_distinct_quotient(monkeypatch, assu
         table = obstruction._parity_verdicts(model, assumption)
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(AbelianPresentation, "canonical_coords", counting_canonical_coords)
+            m.setattr(obstruction, "_gf2_reduce", counting_gf2_reduce)
             for p1, p2 in itertools.product(parities1, parities2):
                 table(p1, p2)
         assert len(calls) == reductions * len(parities1) * len(parities2), model
@@ -513,7 +516,7 @@ def _flipping_lifts(model, assumption, pairs):
 
     def verdict(c1, c2):
         pair = ChernPair(ChowClass.from_coords(ambient, 1, c1), ChowClass.from_coords(ambient, 2, c2))
-        return rule(theta(pair).coords())[0]
+        return rule(_gf2_mask(theta(pair).coords()))[0]
 
     def plus(a, b):
         return [x + y for x, y in zip(a, b)]
