@@ -145,9 +145,6 @@ class AbelianPresentation:
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         return hermite_reduce(self.hnf(), coords)
 
-    def is_zero(self, coords: Sequence[int]) -> bool:
-        return not any(self.canonical_coords(coords))
-
     def element_order(self, coords: Sequence[int]) -> int:
         """Least k >= 1 with k*coords = 0, or 0 if the element has infinite order.
 

@@ -22,12 +22,13 @@ spaces of total dimension 4, where the criterion applies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 from .abelian import AbelianPresentation, InfiniteGroupError
 from .chow import AmbientMismatchError, ChowClass, _divisor_columns, _terms_str, cup, reduce_mod2
-from .complement import ComplementModel, Direction, PushforwardAssumption, certificate, complement_group
+from .complement import ComplementModel, Direction, PushforwardAssumption, _relation_rows, certificate, complement_group
 from .intlinalg import _gf2_mask, _gf2_reduce, _gf2_span
 from .steenrod import sq2
 
@@ -96,10 +97,10 @@ def sq2_descends(model: ComplementModel) -> bool:
     as the executable check of that argument.
     """
     naive = PushforwardAssumption.naive()
-    span = _gf2_span(complement_group(model, 3, naive).relations.entries)
+    span = _gf2_span(_relation_rows(model, 3, naive))
     return not any(
         _gf2_reduce(span, _gf2_mask(sq2(ChowClass.from_coords(model.ambient, 2, rel)).coords()))
-        for rel in complement_group(model, 2, naive).relations.entries
+        for rel in _relation_rows(model, 2, naive)
     )
 
 
@@ -169,22 +170,21 @@ def _check_total_dim(model: ComplementModel) -> None:
 def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
     """The verdict rule of decide() and classify's table, per model and assumption.
 
-    theta is read modulo degree-3 GF(2) spans that do not depend on the pair,
-    so both are built here, the assumption's only when it is not the naive
-    one.  Returns the assumption's degree-3 group and a function from theta's
-    _gf2_mask to (verdict, naive_zero, theta's mask reduced modulo the
-    assumption's span, its canonical coordinates in the group's tensor_mod2),
-    which reduces theta once per distinct span.  Callers check that the model
-    has total dimension 4.
+    theta is read modulo degree-3 GF(2) spans that do not depend on the pair:
+    the assumption's, from its group, and the divisor-multiple one, which is
+    the same span under naive and nori and otherwise comes from the naive
+    relation rows with no group built.  Returns the assumption's degree-3
+    group and a function from theta's _gf2_mask to (verdict, naive_zero,
+    theta's mask reduced modulo the assumption's span), which reduces theta
+    once per distinct span.  Callers check that the model has total
+    dimension 4.
     """
-    naive = PushforwardAssumption.naive()
-    naive_group = complement_group(model, 3, naive)
-    naive_span = _gf2_span(naive_group.relations.entries)
+    assm_group = complement_group(model, 3, assumption)
+    assm_span = _gf2_span(assm_group.relations.entries)
     if assumption.presents_divisor_multiples:
-        assm_group, assm_span = naive_group, naive_span
+        naive_span = assm_span
     else:
-        assm_group = complement_group(model, 3, assumption)
-        assm_span = _gf2_span(assm_group.relations.entries)
+        naive_span = _gf2_span(_relation_rows(model, 3, PushforwardAssumption.naive()))
     contains_side = assumption.direction in (Direction.CONTAINS_IMAGE, Direction.EQUALS_IMAGE)
     inside_side = assumption.direction in (Direction.CONTAINED_IN_IMAGE, Direction.EQUALS_IMAGE)
 
@@ -202,21 +202,22 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
     return assm_group, rule
 
 
-def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
-    """The verdict of every pair of parities of (c1, c2), from b2 + b1*b2
-    basis products, where b1 and b2 are the ranks of CH^1 and CH^2 of the
-    ambient space.
+def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) -> dict:
+    """The verdict of every pair of parities of (c1, c2), as a dict with
+    2^(b1 + b2) keys, where b1, b2 and b3 are the ranks of CH^1, CH^2 and
+    CH^3 of the ambient space.
 
-    Returns a function of two 0/1 tuples over the degree-1 and degree-2
-    monomial bases, which are the coordinates of cosets as well, since
-    complement_group names its generators by the basis monomials.  Mod 2,
-    Sq^2 is additive and the cup product is bilinear, so theta(c1, c2) is the
-    sum over the monomials m_j of c2 of Sq^2(m_j) and of x_i*m_j for each
-    monomial x_i of c1.  Those products are computed once as _gf2_mask bit
-    masks, by sq2 on each m_j and the degree-3 _divisor_columns of each x_i,
-    and the function XORs them, hands theta's mask to decide()'s verdict rule
-    and returns the verdict, the first of the rule's three values.  Callers
-    check that the model has total dimension 4.
+    A key is a pair of 0/1 tuples over the degree-1 and degree-2 monomial
+    bases, which are the coordinates of cosets as well, since
+    complement_group names its generators by the basis monomials.  theta is
+    a degree-3 mod-2 class, so decide()'s verdict rule runs once on each of
+    the 2^b3 _gf2_mask values.  Mod 2, Sq^2 is additive and the cup product
+    is bilinear, so for a fixed c1, theta(c1, .) is linear in c2: its image
+    of the degree-2 basis monomial m_j is Sq^2(m_j) plus x_i*m_j for each
+    monomial x_i of c1, from sq2 on each m_j and the degree-3
+    _divisor_columns of each x_i.  Those b2 images are computed once per
+    parity of c1, and theta of each parity of c2 is the XOR of its images.
+    Callers check that the model has total dimension 4.
     """
     ambient = model.ambient
     squares = [_gf2_mask(sq2(ChowClass.monomial(ambient, e)).coords()) for e in ambient.monomial_basis(2)]
@@ -225,18 +226,19 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption):
         for e in ambient.monomial_basis(1)
     ]
     _, rule = _verdict_rule(model, assumption)
-
-    def verdict(parity1: tuple[int, ...], parity2: tuple[int, ...]) -> Verdict:
+    verdicts = [rule(mask)[0] for mask in range(1 << len(ambient.monomial_basis(3)))]
+    parities2 = list(itertools.product((0, 1), repeat=len(squares)))
+    table = {}
+    for parity1 in itertools.product((0, 1), repeat=len(products)):
         rows = [row for row, bit in zip(products, parity1) if bit]
-        theta_mask = 0
-        for j, bit in enumerate(parity2):
-            if bit:
-                theta_mask ^= squares[j]
-                for row in rows:
-                    theta_mask ^= row[j]
-        return rule(theta_mask)[0]
-
-    return verdict
+        # theta of every parity of c2, in the order of parities2
+        masks = [0]
+        for j, image in enumerate(squares):
+            for row in rows:
+                image ^= row[j]
+            masks = [mask ^ term for mask in masks for term in (0, image)]
+        table.update(((parity1, parity2), verdicts[mask]) for parity2, mask in zip(parities2, masks))
+    return table
 
 
 @dataclass(frozen=True)
@@ -256,16 +258,11 @@ def classify_all(model: ComplementModel, assumption: PushforwardAssumption) -> l
     are the monomials of the ambient basis.  Rows run over CH^2 inside CH^1,
     both in enumeration order, so output is deterministic.
 
-    The degree-3 quotients that decide() builds per call are built once per
-    sweep.  theta reads the lifts only mod 2, where Sq^2 is additive and the
-    cup product bilinear, so b2 + b1*b2 basis products determine it on every
-    pair of coordinate parities, where b1 and b2 are the ranks of CH^1 and
-    CH^2 of the ambient space: Sq^2 of each degree-2 basis monomial and each
-    product of a degree-1 with a degree-2 basis monomial.  Each verdict
-    comes from decide()'s verdict rule on those coordinates, so it equals
-    decide() on the row's lift.  The list comes from the sweep that
-    `classify` streams one CH^1 coset at a time, with `list` as the renderer
-    of each verdict column.
+    theta reads the lifts only mod 2, so each verdict is the entry of the
+    parity table of _parity_verdicts at the row's coordinate parities, which
+    comes from decide()'s verdict rule and so equals decide() on the row's
+    lift.  The list comes from the sweep that `classify` streams one CH^1
+    coset at a time, with `list` as the renderer of each verdict column.
     """
     return [
         ClassifyRow(c1=label1, c2=label2, verdict=verdict)
@@ -275,7 +272,7 @@ def classify_all(model: ComplementModel, assumption: PushforwardAssumption) -> l
 
 
 def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
-    """Lazy iterator of (CH^1 label, rendered column), one item per CH^1 coset.
+    """Generate (CH^1 label, rendered column), one item per CH^1 coset.
 
     A column pairs each CH^2 label with its verdict, in CH^2 enumeration
     order, and render(pairs) turns that iterable of (label, verdict) pairs
@@ -283,13 +280,11 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     CLI.  render runs once per parity of c1, and every coset of that parity
     yields its result.
 
-    Labels are written from coset coordinates and generator names, and theta
-    is read off the bilinear table of _parity_verdicts, so no lift, theta
-    class, report or verdict prose is built.
-    At call time come the groups of degrees 1 and 2, the finite-group guard,
-    then the dimension guard, the table with its degree-3 quotients, and the
-    CH^2 labels and parities.  The iterator asks the table for a verdict only
-    at the first coset of each parity of c1, once per parity of c2.
+    Labels are written from coset coordinates and generator names, and each
+    verdict is read from the dict of _parity_verdicts, so no lift, theta
+    class, report or verdict prose is built.  The groups of degrees 1 and 2,
+    the finite-group guard, the dimension guard, the table and the CH^2
+    labels and parities come first, at the first next().
     """
     naive = PushforwardAssumption.naive()
     g1 = complement_group(model, 1, naive)
@@ -299,20 +294,13 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
             f"classification sweep needs finite groups, got {g1.describe()} and {g2.describe()}"
         )
     _check_total_dim(model)
-    verdict = _parity_verdicts(model, assumption)
-
+    table = _parity_verdicts(model, assumption)
     cosets2 = list(g2.elements())
     labels2 = [_terms_str(zip(g2.generator_names, coords)) for coords in cosets2]
     parities2 = [tuple(c % 2 for c in coords) for coords in cosets2]
-    distinct2 = set(parities2)
-
-    def cosets():
-        columns = {}
-        for coords1 in g1.elements():
-            parity1 = tuple(c % 2 for c in coords1)
-            if parity1 not in columns:
-                verdicts = {parity2: verdict(parity1, parity2) for parity2 in distinct2}
-                columns[parity1] = render(zip(labels2, (verdicts[p] for p in parities2)))
-            yield _terms_str(zip(g1.generator_names, coords1)), columns[parity1]
-
-    return cosets()
+    columns = {}
+    for coords1 in g1.elements():
+        parity1 = tuple(c % 2 for c in coords1)
+        if parity1 not in columns:
+            columns[parity1] = render(zip(labels2, [table[parity1, parity2] for parity2 in parities2]))
+        yield _terms_str(zip(g1.generator_names, coords1)), columns[parity1]

@@ -286,6 +286,10 @@ def test_unwritable_output_is_an_error(argv, json_flag):
 
 
 def test_sweep_guard_raises_at_call_time():
-    # the guard runs before any row is asked for
+    # the guard runs before the first row: at the sweep's first next(), so
+    # classify_all, which lists the rows at once, raises too
+    model = ComplementModel(AmbientSpace((1, 3)), (0, 4))
     with pytest.raises(InfiniteGroupError):
-        obstruction._sweep(ComplementModel(AmbientSpace((1, 3)), (0, 4)), NAIVE, list)
+        next(obstruction._sweep(model, NAIVE, list))
+    with pytest.raises(InfiniteGroupError):
+        classify_all(model, NAIVE)

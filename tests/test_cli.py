@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -324,6 +325,27 @@ def test_custom_assumption_file(tmp_path, capsys):
         "--c1", "0", "--c2", "x1*x2", "--assumption", f"custom:{path}",
     )
     assert data["verdict"] == "NOT_ALGEBRAIZABLE"
+
+
+@pytest.mark.parametrize(
+    "spec, argv, expected",
+    [
+        ({"ambient": "1,3", "degree": 3, "direction": "contained_in_image", "generators": ["x2^3"]},
+         ("classify", "--ambient", "1,3", "--degree", "2,4"),
+         "5b64d84970c1f8f90473d49a927952ba1aea929f1fac9ba7e1363ac8d10a15f3"),
+        ({"ambient": "4", "degree": 3, "direction": "contains_image", "generators": ["2*x1^3"]},
+         ("classify", "--ambient", "4", "--degree", "6", "--json"),
+         "35d14a69098e1148b4963bfc02f2b568c5d6097555dca7fe4fc3b11e7ea3c5d0"),
+    ],
+    ids=["contained-in", "contains"],
+)
+def test_custom_assumption_classify_is_pinned(tmp_path, capsys, spec, argv, expected):
+    # sha256 of stdout, recorded before classify's parity table became a dict
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, *argv, "--assumption", f"custom:{path}")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
 CUSTOM_SPEC = {"ambient": "1,3", "degree": 3, "direction": "contains_image", "generators": ["x2^3"]}

@@ -137,13 +137,12 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     assert "inside the pushforward image" in report.justification["verdict_basis"]
 
 
-@pytest.mark.parametrize(
-    "assumption, groups", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
-)
-def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, groups):
-    # naive and nori present the same degree-3 group, so decide() builds it
-    # once; the naive group is read through its GF(2) span, and only the
-    # assumption's group is reduced mod 2 as a presentation, for the report
+@pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=["naive", "nori", "even-degree"])
+def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption):
+    # decide() builds only the assumption's degree-3 group; under even-degree
+    # the naive span comes from the relation rows with no group built, and
+    # only the assumption's group is reduced mod 2 as a presentation, for the
+    # report
     reduced, built = [], []
     tensor_mod2 = AbelianPresentation.tensor_mod2
 
@@ -160,7 +159,7 @@ def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, groups
     monkeypatch.setattr(obstruction, "complement_group", counting_complement_group)
     report = decide(model, pair_on(P1xP3, "0", "x1*x2"), assumption)
     assert len(reduced) == 1
-    assert len(built) == groups
+    assert len(built) == 1
     # the image still lies in the reduction of the assumption's own group
     assert report.theta_quotient == tensor_mod2(complement_group(model, 3, assumption))
 
@@ -333,13 +332,10 @@ def test_classify_lifts_are_smallest_representatives():
 
 
 
-@pytest.mark.parametrize(
-    "assumption, degrees", [(NAIVE, [1, 2, 3]), (NORI, [1, 2, 3]), (EVEN, [1, 2, 3, 3])],
-    ids=["naive", "nori", "even-degree"],
-)
-def test_classify_builds_each_group_once(monkeypatch, assumption, degrees):
-    # CH^1 and CH^2 for the cosets, and the degree-3 quotient once per sweep,
-    # plus the assumption's own degree-3 group when it is not the naive one
+@pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=["naive", "nori", "even-degree"])
+def test_classify_builds_each_group_once(monkeypatch, assumption):
+    # CH^1 and CH^2 for the cosets, and the assumption's degree-3 quotient
+    # once per sweep; the naive degree-3 span needs no group
     built = []
 
     def counting_complement_group(model, j, assumption=None):
@@ -350,7 +346,7 @@ def test_classify_builds_each_group_once(monkeypatch, assumption, degrees):
     for model in (ComplementModel(P4, (6,)), ComplementModel(P1xP3, (2, 4))):
         built.clear()
         classify_all(model, assumption)
-        assert sorted(j for j, _ in built) == degrees, model
+        assert sorted(j for j, _ in built) == [1, 2, 3], model
         assert len(set(built)) == len(built), model
 
 
@@ -413,14 +409,21 @@ _TABLE_GRIDS = {
     (1, 1, 2): list(itertools.product((1, 2), repeat=3)),
     (1, 1, 1, 1): list(itertools.product((1, 2), repeat=4)),
 }
+# A custom degree-3 subgroup in each direction where even-degree applies:
+# x1^3 and x2^3 lie outside the divisor multiples mod 2 for some degrees, so
+# the inside direction certifies pairs that naive leaves undetermined.
+_TABLE_CUSTOM = {
+    (4,): {"contained_in_image": ("x1^3",), "contains_image": ("2*x1^3",)},
+    (1, 3): {"contained_in_image": ("x2^3",), "contains_image": ("x1*x2^2",)},
+}
 
 
 @pytest.mark.parametrize("dims", list(_TABLE_GRIDS), ids=lambda dims: "x".join(f"P{n}" for n in dims))
 def test_parity_table_matches_decide_and_the_theta_oracle(dims):
     # every one of the 2^(b1 + b2) parity pairs, against decide()'s verdict
-    # rule on theta of a lift with seeded odd coefficients -1, 1 or 3 and
-    # against the theta oracle, which runs once per distinct theta of the
-    # total square over GF(2)
+    # rule on theta of a lift with seeded odd coefficients -1, 1 or 3 (against
+    # decide() itself under a custom assumption) and against the theta
+    # oracle, which runs once per distinct theta of the total square over GF(2)
     ambient = AmbientSpace(dims)
     basis1, basis2 = ambient.monomial_basis(1), ambient.monomial_basis(2)
     rng = random.Random(f"table-{dims}")
@@ -432,20 +435,29 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
         c1 = {e for e, p in zip(basis1, p1) if p}
         c2 = {e for e, p in zip(basis2, p2) if p}
         pairs.append((p1, p2, lift, (c1, c2), frozenset(gf2_theta(dims, c1, c2))))
-    names = ["naive", "nori"] + (["even-degree"] if dims in EVEN_DEGREE_MOD2 else [])
+    assumptions = [(name, ASSUMPTIONS[name], None) for name in ("naive", "nori")]
+    if dims in EVEN_DEGREE_MOD2:
+        assumptions.append(("even-degree", EVEN, EVEN_DEGREE_MOD2[dims]))
+    for direction, texts in _TABLE_CUSTOM.get(dims, {}).items():
+        gens = [parse_class(ambient, text) for text in texts]
+        rows = [{e for e, c in zip(ambient.monomial_basis(3), g.coords()) if c % 2} for g in gens]
+        assumptions.append((direction, PushforwardAssumption.custom(gens, direction, 3), rows))
     for degrees in _TABLE_GRIDS[dims]:
         model = ComplementModel(ambient, degrees)
-        for name in names:
-            assumption = ASSUMPTIONS[name]
-            rows = EVEN_DEGREE_MOD2[dims] if name == "even-degree" else None
+        for name, assumption, rows in assumptions:
             table = obstruction._parity_verdicts(model, assumption)
+            assert len(table) == len(pairs), (dims, degrees, name)
             _, rule = obstruction._verdict_rule(model, assumption)
             oracle = {}
             for p1, p2, lift, gf2, th in pairs:
                 if th not in oracle:
                     oracle[th] = theta_verdict(dims, degrees, *gf2, assumption.direction.value, rows)
-                verdict = table(p1, p2)
-                assert verdict == rule(_gf2_mask(theta(lift).coords()))[0], (dims, degrees, name, p1, p2)
+                verdict = table[p1, p2]
+                if name in ASSUMPTIONS:
+                    expected = rule(_gf2_mask(theta(lift).coords()))[0]
+                else:
+                    expected = decide(model, lift, assumption).verdict
+                assert verdict == expected, (dims, degrees, name, p1, p2)
                 assert verdict.value == oracle[th], (dims, degrees, name, p1, p2)
 
 
@@ -453,8 +465,9 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
     "assumption, reductions", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
 )
 def test_parity_table_reduces_theta_once_per_distinct_quotient(monkeypatch, assumption, reductions):
-    # naive and nori read theta in one degree-3 GF(2) span, so the verdict
-    # rule reduces it once; even-degree reads it in its own and the naive one
+    # the table runs the verdict rule once per degree-3 mod-2 class; naive and
+    # nori read theta in one degree-3 GF(2) span, so the rule reduces it once,
+    # and even-degree reads it in its own and the naive one
     calls = []
     gf2_reduce = obstruction._gf2_reduce
 
@@ -463,16 +476,11 @@ def test_parity_table_reduces_theta_once_per_distinct_quotient(monkeypatch, assu
         return gf2_reduce(span, mask)
 
     for model in (ComplementModel(P4, (48,)), ComplementModel(P1xP3, (3, 4))):
-        ambient = model.ambient
-        parities1 = list(itertools.product((0, 1), repeat=len(ambient.monomial_basis(1))))
-        parities2 = list(itertools.product((0, 1), repeat=len(ambient.monomial_basis(2))))
-        table = obstruction._parity_verdicts(model, assumption)
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(obstruction, "_gf2_reduce", counting_gf2_reduce)
-            for p1, p2 in itertools.product(parities1, parities2):
-                table(p1, p2)
-        assert len(calls) == reductions * len(parities1) * len(parities2), model
+            obstruction._parity_verdicts(model, assumption)
+        assert len(calls) == reductions * 2 ** len(model.ambient.monomial_basis(3)), model
 
 
 # The lift-flip table.  Item-1 grids of the ROADMAP for P^4 and P^1 x P^3, with
