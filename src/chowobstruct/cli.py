@@ -256,10 +256,10 @@ def _cmd_group(args) -> dict | str:
         relations = _parse_matrix_literal(args.relations)
         if args.generators:
             names = [s.strip() for s in args.generators.split(",")]
+            # rebuilt to the width of the names, so "[]" presents the free group on them
+            group = AbelianPresentation(names, relations.entries)
         else:
-            names = [f"g{i + 1}" for i in range(relations.cols)]
-        # built to the width of the names, so "[]" presents the free group on them
-        group = AbelianPresentation(names, relations.entries)
+            group = AbelianPresentation([f"g{i + 1}" for i in range(relations.cols)], relations)
     else:
         raise ValueError("group needs --relations or --presentation")
     if args.json:

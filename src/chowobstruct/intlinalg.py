@@ -101,19 +101,31 @@ class SnfDecomposition:
         return tuple(row[i] for i, row in enumerate(self.s.entries[: self.s.cols]))
 
 
-def _smith_eliminate(rows: list[list[int]], m: int, n: int) -> None:
+def _smith_eliminate(rows: list[list[int]], cols: list[list[int]], m: int, n: int) -> None:
     """Diagonalize the top-left m x n block of rows in place.
 
     Pivots are chosen with minimal absolute value to keep intermediate entries
     small; after each pivot is isolated, a divisibility sweep folds any
     non-multiple of the pivot back into the working row so the final diagonal
-    forms a divisor chain.  Row operations move whole rows and column
-    operations whole columns, while every choice reads only the block.
+    forms a divisor chain.  Row operations move whole rows, and column
+    operations move whole columns of rows and of cols, a list of columns that
+    picks up the column transform (it may be empty).  Every choice reads only
+    the block.
+
+    Clearing rows[i][t] is a Euclid chain between the pivot row and row i:
+    subtract a multiple, swap when a remainder is left, repeat.  Rows strictly
+    between them are already zero in column t, so the chain is run on the two
+    scalars alone, its steps composed into one unimodular [[a0, a1], [b0, b1]]
+    that is then applied to both rows at once.  Once column t is clear below
+    the pivot, it is clear above it too (those rows are finished), so a column
+    operation changes only the pivot row within the block.
     """
 
     def swap_cols(i, j):
         for row in rows:
             row[i], row[j] = row[j], row[i]
+        if cols:
+            cols[i], cols[j] = cols[j], cols[i]
 
     t = 0
     limit = min(m, n)
@@ -133,38 +145,52 @@ def _smith_eliminate(rows: list[list[int]], m: int, n: int) -> None:
         if rows[t][t] < 0:
             rows[t] = [-x for x in rows[t]]
 
-        dirty = True
-        while dirty:
-            dirty = False
+        while True:
             for i in range(t + 1, m):
-                if rows[i][t]:
-                    q = rows[i][t] // rows[t][t]
-                    if q:
-                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
-                    if rows[i][t]:
-                        # remainder is a strictly smaller positive pivot
-                        rows[t], rows[i] = rows[i], rows[t]
-                        dirty = True
+                y = rows[i][t]
+                if not y:
+                    continue
+                x = rows[t][t]
+                a0, a1, b0, b1 = 1, 0, 0, 1
+                while True:
+                    # remainders stay in [0, x), so the pivot stays positive
+                    q = y // x
+                    y -= q * x
+                    b0 -= q * a0
+                    b1 -= q * a1
+                    if not y:
                         break
-            if dirty:
-                continue
+                    x, y = y, x
+                    a0, a1, b0, b1 = b0, b1, a0, a1
+                top, row = rows[t], rows[i]
+                if a1:
+                    rows[t] = [a0 * u + a1 * w for u, w in zip(top, row)]
+                    rows[i] = [b0 * u + b1 * w for u, w in zip(top, row)]
+                else:
+                    # a1 stays 0 exactly when nothing was swapped: b = (-q, 1)
+                    rows[i] = [w + b0 * u for u, w in zip(top, row)]
+            r = rows[t]
+            p = r[t]
             for j in range(t + 1, n):
-                if rows[t][j]:
-                    q = rows[t][j] // rows[t][t]
+                if r[j]:
+                    q = r[j] // p
                     if q:
-                        for row in rows:
-                            row[j] -= q * row[t]
-                    if rows[t][j]:
+                        r[j] -= q * p
+                        if cols:
+                            cols[j] = [u - q * w for u, w in zip(cols[j], cols[t])]
+                    if r[j]:
                         swap_cols(t, j)
-                        dirty = True
                         break
+            else:
+                break
 
         p = rows[t][t]
         carrier = -1
-        for i in range(t + 1, m):
-            if any(x % p for x in rows[i][t + 1:n]):
-                carrier = i
-                break
+        if p != 1:  # every integer is a multiple of 1
+            for i in range(t + 1, m):
+                if any(x % p for x in rows[i][t + 1:n]):
+                    carrier = i
+                    break
         if carrier >= 0:
             # pull the offending row into the pivot row and re-reduce at the same t
             rows[t] = [x + y for x, y in zip(rows[t], rows[carrier])]
@@ -175,25 +201,25 @@ def _smith_eliminate(rows: list[list[int]], m: int, n: int) -> None:
 def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    The elimination runs on a with I_m appended to the right and I_n below,
-    which then hold u and v.  Works for any rectangular matrix, including
-    empty ones.
+    The elimination runs on a with I_m appended to the right, which then
+    holds u, and on I_n held as its list of columns, which then holds v.
+    Works for any rectangular matrix, including empty ones.
     """
     m, n = a.rows, a.cols
     rows = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
-    rows += [[int(i == j) for j in range(n)] for i in range(n)]
-    _smith_eliminate(rows, m, n)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    _smith_eliminate(rows, cols, m, n)
     return SnfDecomposition(
-        u=IntegerMatrix((row[n:] for row in rows[:m]), cols=m),
-        s=IntegerMatrix((row[:n] for row in rows[:m]), cols=n),
-        v=IntegerMatrix(rows[m:], cols=n),
+        u=IntegerMatrix._trusted(tuple(tuple(row[n:]) for row in rows), m),
+        s=IntegerMatrix._trusted(tuple(tuple(row[:n]) for row in rows), n),
+        v=IntegerMatrix._trusted(tuple(zip(*cols)), n),
     )
 
 
 def smith_diagonal(a: IntegerMatrix) -> tuple[int, ...]:
     """The diagonal of smith_normal_form(a), without building u and v."""
     rows = [list(row) for row in a.entries]
-    _smith_eliminate(rows, a.rows, a.cols)
+    _smith_eliminate(rows, [], a.rows, a.cols)
     return tuple(rows[i][i] for i in range(min(a.rows, a.cols)))
 
 

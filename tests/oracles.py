@@ -4,7 +4,9 @@ Nothing here imports from chowobstruct: determinants come from Laplace
 expansion, diagonal forms from a separate first-nonzero-pivot reduction, and
 lattice membership from exact rational solving, Steenrod squares from the
 total square on GF(2) polynomials, so agreement with the library is meaningful
-evidence rather than a tautology.
+evidence rather than a tautology.  The one exception is
+reference_smith_normal_form, a frozen copy of the package's earlier Smith
+elimination, which pins the exact u, s and v the rewritten one must reproduce.
 """
 
 from __future__ import annotations
@@ -64,6 +66,86 @@ def reference_snf_diagonal(rows: list[list[int]]) -> list[int]:
         prev = g
     diag += [0] * (limit - len(diag))
     return diag
+
+
+def reference_smith_normal_form(
+    rows: list[list[int]], n: int | None = None
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(u, s, v) as row tuples, by the original one-step-at-a-time elimination.
+
+    This is the package's Smith elimination as it stood before its Euclid
+    chains were fused into 2x2 row steps and its column transform was held as
+    columns: the same pivot order, quotients, swaps and carrier choices, each
+    applied to whole rows and columns of a with I_m to the right and I_n
+    below.  n gives the width when rows is empty.
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else (n or 0)
+    rows = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    rows += [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_cols(i, j):
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        best = 0
+        pi = pj = -1
+        for i in range(t, m):
+            for j in range(t, n):
+                e = abs(rows[i][j])
+                if e and (best == 0 or e < best):
+                    best, pi, pj = e, i, j
+        if pi < 0:
+            break
+        rows[t], rows[pi] = rows[pi], rows[t]
+        if pj != t:
+            swap_cols(t, pj)
+        if rows[t][t] < 0:
+            rows[t] = [-x for x in rows[t]]
+
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, m):
+                if rows[i][t]:
+                    q = rows[i][t] // rows[t][t]
+                    if q:
+                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
+                    if rows[i][t]:
+                        rows[t], rows[i] = rows[i], rows[t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if rows[t][j]:
+                    q = rows[t][j] // rows[t][t]
+                    if q:
+                        for row in rows:
+                            row[j] -= q * row[t]
+                    if rows[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+
+        p = rows[t][t]
+        carrier = -1
+        for i in range(t + 1, m):
+            if any(x % p for x in rows[i][t + 1:n]):
+                carrier = i
+                break
+        if carrier >= 0:
+            rows[t] = [x + y for x, y in zip(rows[t], rows[carrier])]
+            continue
+        t += 1
+
+    u = tuple(tuple(row[n:]) for row in rows[:m])
+    s = tuple(tuple(row[:n]) for row in rows[:m])
+    v = tuple(tuple(row) for row in rows[m:])
+    return u, s, v
 
 
 def rational_coords(basis: list[list[int]], vector: list[int]) -> list[Fraction] | None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import shlex
 import sys
@@ -70,6 +71,7 @@ def test_group_generators_width_mismatch_is_usage_error(capsys):
     )
     assert (code, out) == (2, "")
     assert "usage error" in err
+    assert "expected 2 columns, got 3" in err
 
 
 def test_cup_subcommand(capsys):
@@ -471,6 +473,55 @@ def test_oversized_output_is_domain_error(capsys):
         assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def seeded_matrix(label: str, m: int, n: int, bound: int) -> str:
+    rng = random.Random(label)
+    return json.dumps([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+
+
+NINE_P1 = ("--ambient", "1,1,1,1,1,1,1,1,1", "--degree", "1,1,1,1,1,1,1,1,1")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("snf", "--json", "--matrix", seeded_matrix("snf-16-a", 16, 16, 99)),
+         "b21311e2228994c8c91ed405bf313456684a1dfa9f45bd2629dd267fa24b222f"),
+        (("snf", "--json", "--matrix", seeded_matrix("snf-20-b", 20, 20, 99)),
+         "f9834976825cb8a9a490b5550dbabdfc5753e014f7f72cb07800f3ecab2b7fdf"),
+        (("snf", "--matrix", seeded_matrix("snf-9x13", 9, 13, 9)),
+         "f5abeda3888ba70dd127d09dfa7d661a068943408fa067cad954dd30bcd87d73"),
+        (("snf", "--json", "--matrix", seeded_matrix("snf-13x9", 13, 9, 9)),
+         "0eb04df573a9b6f9306ced0b86be447c883ac9f8842c3e76a68dbf44e7f82a7f"),
+        (("group", "--json", "--relations", seeded_matrix("group-24-d", 24, 24, 99)),
+         "2168fd2984d539c2e7977bbc4e355af64c2ffa5434337b210b19f21e491fe605"),
+        (("complement", "--json", *NINE_P1, "--j", "5", "--assumption", "naive"),
+         "7353579eb3debf5569a4d240e15020798127588feb253cffd0f7f73ffe71c850"),
+        (("complement", "--json", *NINE_P1, "--j", "4", "--assumption", "naive"),
+         "e28331195dc6704f45c49c6c648f9f3f78ee87bf210100529113b358768cbea5"),
+    ],
+    ids=["snf-16-a", "snf-20-b", "snf-9x13-text", "snf-13x9", "group-24-d", "complement-9-5", "complement-9-4"],
+)
+def test_large_normal_form_outputs_are_pinned(capsys, argv, expected):
+    # sha256 of stdout, recorded before the Smith elimination fused its
+    # Euclid chains into 2x2 row steps
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
+def test_snf_with_oversized_transforms_is_domain_error(capsys):
+    # u and v of this 20 x 20 input reach 25,300 bits, past CPython's default
+    # 4300-digit limit; the message wording differs between Python versions
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(capsys, "snf", "--json", "--matrix", seeded_matrix("snf-20-a", 20, 20, 99))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
 
 
 def test_obstruct_accepts_leading_minus(capsys):

@@ -15,6 +15,7 @@ from oracles import (
     cofactor_det,
     frac_membership,
     independent_rows_membership,
+    reference_smith_normal_form,
     reference_snf_diagonal,
 )
 
@@ -125,6 +126,42 @@ def test_snf_diagonal_product_matches_determinant():
             prod *= d
         assert prod == abs(det)
         checked += 1
+
+
+def seeded_matrix(label: str, m: int, n: int, bound: int) -> list[list[int]]:
+    rng = random.Random(label)
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def reference_inputs():
+    rng = random.Random(25)
+    for k in range(3000):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        bound = (1, 2, 3, 99, 10**6)[k % 5]
+        yield [
+            [0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(n)]
+            for _ in range(m)
+        ], n
+    # diagonals that are not divisor chains: only the carrier step fixes them
+    for diag in ((2, 3), (4, 6, 10), (6, 4), (9, 6, 4, 15), (2, 2, 3)):
+        yield [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)], len(diag)
+    yield [[2, 0, 0], [0, 3, 0]], 3
+    yield [[2, 0], [0, 3], [0, 0]], 2
+    # the fixed normal-forms inputs of the benchmark, up to 24 x 24
+    for label, n in (("snf-16-a", 16), ("snf-20-a", 20), ("snf-20-b", 20), ("group-20-a", 20), ("group-24-d", 24)):
+        yield seeded_matrix(label, n, n, 99), n
+
+
+def test_snf_matches_the_reference_elimination():
+    # the fused 2x2 row steps and the column-held v reproduce the one-step
+    # elimination's u, s and v entry for entry, not just its diagonal
+    for rows, n in reference_inputs():
+        mat = IntegerMatrix(rows, cols=n)
+        u, s, v = reference_smith_normal_form(rows, n)
+        dec = smith_normal_form(mat)
+        assert (dec.u.entries, dec.s.entries, dec.v.entries) == (u, s, v)
+        assert (dec.u.rows, dec.u.cols, dec.s.cols, dec.v.rows, dec.v.cols) == (len(rows), len(rows), n, n, n)
+        assert smith_diagonal(mat) == dec.diagonal
 
 
 def check_same_row_lattice(mat: IntegerMatrix, h: IntegerMatrix):
