@@ -179,9 +179,13 @@ class AbelianPresentation:
         the GF(2) span of the relations, of rank r, so the diagonal is
         (1,)*r + (2,)*(n - r).
         """
+        return self._mod2_quotient(len(_gf2_span(self.relations.entries)))
+
+    def _mod2_quotient(self, rank: int) -> "AbelianPresentation":
+        """tensor_mod2 for a caller that already holds the GF(2) span of the
+        relations, from the rank of that span."""
         n = self.ngens
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
-        rank = len(_gf2_span(self.relations.entries))
         out = AbelianPresentation(self.generator_names, IntegerMatrix._trusted(self.relations.entries + twos, n))
         object.__setattr__(out, "_diagonal", (1,) * rank + (2,) * (n - rank))
         return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .abelian import _box_level
@@ -26,12 +26,15 @@ class AmbientSpace:
     """Product of projective spaces P^{n1} x ... x P^{nk}."""
 
     factor_dims: tuple[int, ...]
+    # monomial bases by degree, stored on first use, outside equality and hashing
+    _bases: dict[int, tuple[tuple[int, ...], ...]] = field(compare=False, repr=False)
 
     def __init__(self, factor_dims: Sequence[int]):
         dims = tuple(int(n) for n in factor_dims)
         if not dims or any(n < 1 for n in dims):
             raise ValueError("ambient needs at least one factor, each of dimension >= 1")
         object.__setattr__(self, "factor_dims", dims)
+        object.__setattr__(self, "_bases", {})
 
     @property
     def k(self) -> int:
@@ -47,8 +50,14 @@ class AmbientSpace:
         Ordered by descending lexicographic comparison, so powers of the first
         factor sort first: in P^1 x P^3 degree 2 this is (x1*x2, x2^2).  The
         vectors are generated in that order, with no candidate out of bounds.
+        Each degree's basis is generated once per ambient and stored, as a
+        presentation stores its normal forms; storing the same tuple twice is
+        harmless, so no lock is needed.
         """
-        return tuple(_box_level([n + 1 for n in self.factor_dims], degree))
+        basis = self._bases.get(degree)
+        if basis is None:
+            basis = self._bases[degree] = tuple(_box_level([n + 1 for n in self.factor_dims], degree))
+        return basis
 
     def monomial_str(self, exps: Sequence[int]) -> str:
         parts = [

@@ -69,6 +69,11 @@ _EVEN_DEGREE_GENERATORS: dict[tuple[int, ...], tuple[str, ...]] = {
     (1, 3): ("2*x1*x2^2", "x2^3"),
     (4,): ("2*x1^3",),
 }
+# the same generators in the degree-3 monomial basis, parsed once
+_EVEN_DEGREE_ROWS: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
+    dims: tuple(parse_class(AmbientSpace(dims), g).coords() for g in gens)
+    for dims, gens in _EVEN_DEGREE_GENERATORS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,10 @@ class ComplementModel:
     @property
     def z_class(self) -> ChowClass:
         """The hypersurface class d_1*x1 + ... + d_k*xk."""
-        coeffs = {}
-        for i, d in enumerate(self.multidegree):
-            exps = tuple(int(j == i) for j in range(self.ambient.k))
-            coeffs[exps] = d
-        return ChowClass(self.ambient, 1, coeffs)
+        k = self.ambient.k
+        return ChowClass._trusted(
+            self.ambient, 1, {tuple(int(j == i) for j in range(k)): d for i, d in enumerate(self.multidegree)}
+        )
 
     @property
     def is_ample(self) -> bool:
@@ -188,9 +192,9 @@ def _relation_rows(
         return _naive_relation_rows(model, j)
     if j == assumption.applicable_degree:
         if assumption.kind == AssumptionKind.EVEN_DEGREE:
-            gens = _EVEN_DEGREE_GENERATORS.get(model.ambient.factor_dims)
-            if gens is not None:
-                return tuple(parse_class(model.ambient, g).coords() for g in gens)
+            rows = _EVEN_DEGREE_ROWS.get(model.ambient.factor_dims)
+            if rows is not None:
+                return rows
         elif all(g.ambient == model.ambient and g.degree == j for g in assumption.custom_generators):
             return tuple(g.coords() for g in assumption.custom_generators)
     raise InapplicableAssumptionError(

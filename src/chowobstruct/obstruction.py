@@ -116,7 +116,7 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
     _check_total_dim(model)
     if pair.c1.ambient != model.ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
-    assm_group, rule = _verdict_rule(model, assumption)
+    assm_group, assm_rank, rule = _verdict_rule(model, assumption)
     certificates = {
         "naive": certificate(model, 3, PushforwardAssumption.naive()).as_dict(),
         "assumption": certificate(model, 3, assumption).as_dict(),
@@ -146,7 +146,7 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
     return ObstructionReport(
         theta_on_y=th,
         theta_image=tuple((assm_mask >> k) & 1 for k in range(assm_group.ngens)),
-        theta_quotient=assm_group.tensor_mod2(),
+        theta_quotient=assm_group._mod2_quotient(assm_rank),
         verdict=verdict,
         justification={
             "assumption": assumption.label(),
@@ -174,10 +174,10 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
     the assumption's, from its group, and the divisor-multiple one, which is
     the same span under naive and nori and otherwise comes from the naive
     relation rows with no group built.  Returns the assumption's degree-3
-    group and a function from theta's _gf2_mask to (verdict, naive_zero,
-    theta's mask reduced modulo the assumption's span), which reduces theta
-    once per distinct span.  Callers check that the model has total
-    dimension 4.
+    group, the rank of its span, which sizes the group's tensor_mod2, and a
+    function from theta's _gf2_mask to (verdict, naive_zero, theta's mask
+    reduced modulo the assumption's span), which reduces theta once per
+    distinct span.  Callers check that the model has total dimension 4.
     """
     assm_group = complement_group(model, 3, assumption)
     assm_span = _gf2_span(assm_group.relations.entries)
@@ -199,7 +199,7 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
             verdict = Verdict.UNDETERMINED
         return verdict, naive_zero, assm_mask
 
-    return assm_group, rule
+    return assm_group, len(assm_span), rule
 
 
 def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) -> dict:
@@ -220,12 +220,12 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
     Callers check that the model has total dimension 4.
     """
     ambient = model.ambient
-    squares = [_gf2_mask(sq2(ChowClass.monomial(ambient, e)).coords()) for e in ambient.monomial_basis(2)]
+    squares = [_gf2_mask(sq2(ChowClass._trusted(ambient, 2, {e: 1})).coords()) for e in ambient.monomial_basis(2)]
     products = [
-        [_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass.monomial(ambient, e), 3)]
+        [_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass._trusted(ambient, 1, {e: 1}), 3)]
         for e in ambient.monomial_basis(1)
     ]
-    _, rule = _verdict_rule(model, assumption)
+    *_, rule = _verdict_rule(model, assumption)
     verdicts = [rule(mask)[0] for mask in range(1 << len(ambient.monomial_basis(3)))]
     parities2 = list(itertools.product((0, 1), repeat=len(squares)))
     table = {}

@@ -347,10 +347,25 @@ def test_element_equality_and_hash():
     assert g != AbelianPresentation(("x", "y"), [[3, 0], [0, 8]])
 
 
+def test_ambient_equality_ignores_stored_bases():
+    # an ambient stores each monomial basis on first use; like a
+    # presentation's normal forms, the stored bases take no part in equality,
+    # hashing or repr
+    used = AmbientSpace((1, 3))
+    fresh = AmbientSpace((1, 3))
+    basis = used.monomial_basis(2)
+    assert used.monomial_basis(2) is basis
+    assert fresh._bases == {} and used._bases == {2: basis}
+    assert fresh == used and hash(fresh) == hash(used)
+    assert repr(fresh) == repr(used) == "AmbientSpace(factor_dims=(1, 3))"
+    assert used != AmbientSpace((3, 1))
+
+
 FROZEN_VALUES = [
     (IntegerMatrix([[1, 2], [3, 4]]), ("rows", "cols", "entries")),
     (ChowClass(AmbientSpace((1, 3)), 2, {(1, 1): 3}), ("ambient", "degree", "_items")),
     (AbelianPresentation(("x",), [[2]]), ("generator_names", "relations", "_diagonal", "_hnf")),
+    (AmbientSpace((1, 3)), ("factor_dims", "_bases")),
 ]
 
 
@@ -379,11 +394,19 @@ def _stored_forms(g: AbelianPresentation) -> AbelianPresentation:
     return g
 
 
+def _stored_bases(ambient: AmbientSpace) -> AmbientSpace:
+    for degree in range(ambient.total_dim + 1):
+        ambient.monomial_basis(degree)
+    return ambient
+
+
 ROUND_TRIP_VALUES = {
     "IntegerMatrix": lambda: IntegerMatrix([[1, 2], [3, 4]]),
     "ChowClass": lambda: ChowClass(AmbientSpace((1, 3)), 2, {(1, 1): 3, (0, 2): -1}),
     "AbelianPresentation": lambda: AbelianPresentation(("x", "y"), [[3, 0], [0, 4]]),
     "AbelianPresentation-stored": lambda: _stored_forms(AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])),
+    "AmbientSpace": lambda: AmbientSpace((1, 3)),
+    "AmbientSpace-stored": lambda: _stored_bases(AmbientSpace((1, 3))),
 }
 
 

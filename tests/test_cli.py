@@ -511,6 +511,17 @@ def test_large_normal_form_outputs_are_pinned(capsys, argv, expected):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
+def test_even_degree_classify_output_is_pinned(capsys):
+    # sha256 of stdout, recorded before each ambient stored its monomial
+    # bases; CI checks the installed console script against the same hash
+    argv = ("classify", "--ambient", "1,3", "--degree", "9,4", "--assumption", "even-degree", "--json")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5e9627c96624e9d8e8a984d45e18f2e8ca06fc934ee3b54c1657ff471c672f91"
+    )
+
+
 def test_snf_with_oversized_transforms_is_domain_error(capsys):
     # u and v of this 20 x 20 input reach 25,300 bits, past CPython's default
     # 4300-digit limit; the message wording differs between Python versions

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chowobstruct import complement
 from chowobstruct.chow import AmbientSpace, ChowClass, parse_class
 from chowobstruct.complement import (
     ComplementModel,
@@ -205,6 +206,22 @@ def test_even_degree_preset_p4():
     cert = certificate(model, 3, EVEN)
     assert group.invariant_factors() == (2,)
     assert cert.status == Status.ASSUMED_CONTAINS
+
+
+def test_even_degree_rows_are_read_without_parsing(monkeypatch):
+    # the even-degree generators are constant literals, read into the
+    # degree-3 basis once, at import; a call parses none of them
+    parsed = []
+    with monkeypatch.context() as m:
+        m.setattr(complement, "parse_class", lambda *args: parsed.append(args))
+        rows = {
+            dims: complement._relation_rows(ComplementModel(AmbientSpace(dims), (2,) * len(dims)), 3, EVEN)
+            for dims in complement._EVEN_DEGREE_GENERATORS
+        }
+    assert parsed == []
+    assert set(rows) == {(1, 3), (4,)}
+    for dims, gens in complement._EVEN_DEGREE_GENERATORS.items():
+        assert rows[dims] == tuple(parse_class(AmbientSpace(dims), g).coords() for g in gens), dims
 
 
 def test_custom_assumption_directions():

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from chowobstruct import obstruction
-from chowobstruct.abelian import AbelianPresentation, InfiniteGroupError
+from chowobstruct import abelian, chow, obstruction
+from chowobstruct.abelian import InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.intlinalg import _gf2_mask
@@ -137,31 +137,39 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     assert "inside the pushforward image" in report.justification["verdict_basis"]
 
 
-@pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=["naive", "nori", "even-degree"])
-def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption):
-    # decide() builds only the assumption's degree-3 group; under even-degree
-    # the naive span comes from the relation rows with no group built, and
-    # only the assumption's group is reduced mod 2 as a presentation, for the
-    # report
-    reduced, built = [], []
-    tensor_mod2 = AbelianPresentation.tensor_mod2
+@pytest.mark.parametrize(
+    "assumption, spans", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
+)
+def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, spans):
+    # decide() builds only the assumption's degree-3 group and eliminates its
+    # relations mod 2 once, for the verdict rule and the reported quotient
+    # alike; under even-degree the naive span comes from the relation rows
+    # with no group built, which is the second elimination
+    calls, built = [], []
+    gf2_span = obstruction._gf2_span
 
-    def counting_tensor_mod2(group):
-        reduced.append(group)
-        return tensor_mod2(group)
+    def counting_gf2_span(rows):
+        calls.append(rows)
+        return gf2_span(rows)
 
     def counting_complement_group(*args):
         built.append(args)
         return complement_group(*args)
 
     model = ComplementModel(P1xP3, (3, 4))
-    monkeypatch.setattr(AbelianPresentation, "tensor_mod2", counting_tensor_mod2)
-    monkeypatch.setattr(obstruction, "complement_group", counting_complement_group)
-    report = decide(model, pair_on(P1xP3, "0", "x1*x2"), assumption)
-    assert len(reduced) == 1
+    pair = pair_on(P1xP3, "0", "x1*x2")
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_gf2_span", counting_gf2_span)
+        m.setattr(abelian, "_gf2_span", counting_gf2_span)
+        m.setattr(obstruction, "complement_group", counting_complement_group)
+        report = decide(model, pair, assumption)
+    assert len(calls) == spans
     assert len(built) == 1
-    # the image still lies in the reduction of the assumption's own group
-    assert report.theta_quotient == tensor_mod2(complement_group(model, 3, assumption))
+    # the image still lies in the reduction of the assumption's own group,
+    # with the Smith diagonal tensor_mod2 gives it
+    expected = complement_group(model, 3, assumption).tensor_mod2()
+    assert report.theta_quotient == expected
+    assert report.theta_quotient.invariant_factors() == expected.invariant_factors()
 
 
 def test_each_decide_report_owns_its_justification():
@@ -447,7 +455,7 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
         for name, assumption, rows in assumptions:
             table = obstruction._parity_verdicts(model, assumption)
             assert len(table) == len(pairs), (dims, degrees, name)
-            _, rule = obstruction._verdict_rule(model, assumption)
+            *_, rule = obstruction._verdict_rule(model, assumption)
             oracle = {}
             for p1, p2, lift, gf2, th in pairs:
                 if th not in oracle:
@@ -481,6 +489,41 @@ def test_parity_table_reduces_theta_once_per_distinct_quotient(monkeypatch, assu
             m.setattr(obstruction, "_gf2_reduce", counting_gf2_reduce)
             obstruction._parity_verdicts(model, assumption)
         assert len(calls) == reductions * 2 ** len(model.ambient.monomial_basis(3)), model
+
+
+# One model per ambient of total dimension 4.  The sweep raises
+# InfiniteGroupError at its first next() on the last three, after its groups
+# of degrees 1 and 2.
+_BASIS_MODELS = {(4,): (6,), (1, 3): (3, 4), (2, 2): (2, 2), (1, 1, 2): (1, 2, 2), (1, 1, 1, 1): (2, 2, 2, 2)}
+
+
+@pytest.mark.parametrize("dims", list(_BASIS_MODELS), ids=lambda dims: "x".join(f"P{n}" for n in dims))
+def test_each_basis_is_generated_once_per_ambient(monkeypatch, dims):
+    # decide() and the sweep's setup up to its first row read the bases of
+    # degrees 1, 2 and 3 many times over; the ambient generates each once
+    generated = []
+    box_level = chow._box_level
+
+    def counting_box_level(bounds, total):
+        generated.append((tuple(bounds), total))
+        return box_level(bounds, total)
+
+    monkeypatch.setattr(chow, "_box_level", counting_box_level)
+    assumptions = [NAIVE, NORI] + ([EVEN] if dims in EVEN_DEGREE_MOD2 else [])
+    for assumption in assumptions:
+        generated.clear()
+        ambient = AmbientSpace(dims)
+        model = ComplementModel(ambient, _BASIS_MODELS[dims])
+        ones1 = (1,) * len(ambient.monomial_basis(1))
+        ones2 = (1,) * len(ambient.monomial_basis(2))
+        pair = ChernPair(ChowClass.from_coords(ambient, 1, ones1), ChowClass.from_coords(ambient, 2, ones2))
+        decide(model, pair, assumption)
+        try:
+            next(obstruction._sweep(model, assumption, list))
+        except InfiniteGroupError:
+            assert dims not in EVEN_DEGREE_MOD2
+        assert sorted({total for _, total in generated}) == [1, 2, 3], (assumption.label(), generated)
+        assert len(set(generated)) == len(generated), (assumption.label(), generated)
 
 
 # The lift-flip table.  Item-1 grids of the ROADMAP for P^4 and P^1 x P^3, with
@@ -520,7 +563,7 @@ def _flipping_lifts(model, assumption, pairs):
     relation row that change the verdict decide() gives on one of the pairs,
     read from decide()'s verdict rule on theta of the lift."""
     ambient = model.ambient
-    _, rule = obstruction._verdict_rule(model, assumption)
+    *_, rule = obstruction._verdict_rule(model, assumption)
 
     def verdict(c1, c2):
         pair = ChernPair(ChowClass.from_coords(ambient, 1, c1), ChowClass.from_coords(ambient, 2, c2))
