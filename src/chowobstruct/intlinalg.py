@@ -1,10 +1,11 @@
 """Exact integer linear algebra: Smith and Hermite normal forms, lattice membership.
 
-Everything here runs on plain Python integers, so intermediate entries may grow
-without bound and no precision is ever lost.  That matters: the torsion orders
-produced downstream (e.g. d^2/gcd for large degrees) overflow machine words
-quickly, and the normal-form invariants are asserted exactly, never up to
-rounding.
+Everything here runs on plain Python integers, so no precision is ever lost.
+That matters: the torsion orders produced downstream (e.g. d^2/gcd for large
+degrees) overflow machine words quickly, and the normal-form invariants are
+asserted exactly, never up to rounding.  The Hermite form keeps its entries
+small by reducing each column by its least entry; unbounded growth is left
+only in the Smith transforms u and v.
 """
 
 from __future__ import annotations
@@ -230,41 +231,39 @@ def hermite_normal_form(a: IntegerMatrix) -> IntegerMatrix:
     reduced into [0, pivot).  The rows of h span the same lattice as the rows
     of a, which makes h the canonical basis used for membership tests and coset
     reduction.
+
+    One row operation builds it: subtract the floor multiple of the pivot row.
+    In each column, the row with the least nonzero |entry| at or below row r
+    moves to row r, made positive, and reduces every row below into
+    [0, pivot); while a remainder is left, the least one is re-picked.  Then
+    the rows above are reduced the same way and r advances (Cohen, GTM 138,
+    Section 2.4).  No Bezout coefficients enter, so entries stay small.
     """
     m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
 
     r = 0
     for j in range(n):
-        if r == m:
-            break
-        piv = -1
-        for i in range(r, m):
-            if h[i][j]:
-                piv = i
+        while r < m:
+            p = piv = 0
+            for i in range(r, m):
+                e = abs(h[i][j])
+                if e and (not p or e < p):
+                    p, piv = e, i
+            if not p:
                 break
-        if piv < 0:
-            continue
-        if piv != r:
             h[r], h[piv] = h[piv], h[r]
-        for i in range(r + 1, m):
-            if h[i][j] == 0:
-                continue
-            aa, bb = h[r][j], h[i][j]
-            g, x, y = xgcd(aa, bb)
-            p, q = aa // g, bb // g
-            # unimodular 2x2 transform [[x, y], [-q, p]] on rows r, i (det = 1)
-            h[r], h[i] = (
-                [x * hr + y * hi for hr, hi in zip(h[r], h[i])],
-                [-q * hr + p * hi for hr, hi in zip(h[r], h[i])],
-            )
-        if h[r][j] < 0:
-            h[r] = [-x for x in h[r]]
-        for i in range(r):
-            q = h[i][j] // h[r][j]
-            if q:
-                h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
-        r += 1
+            if h[r][j] < 0:
+                h[r] = [-x for x in h[r]]
+            top, below = h[r], range(r + 1, m)
+            done = all(h[i][j] % p == 0 for i in below)
+            for i in range(m) if done else below:
+                q = h[i][j] // p
+                if q and i != r:
+                    h[i] = [x - q * y for x, y in zip(h[i], top)]
+            if done:
+                r += 1
+                break
 
     return IntegerMatrix._trusted(tuple(map(tuple, h)), n)
 

@@ -4,9 +4,10 @@ Nothing here imports from chowobstruct: determinants come from Laplace
 expansion, diagonal forms from a separate first-nonzero-pivot reduction, and
 lattice membership from exact rational solving, Steenrod squares from the
 total square on GF(2) polynomials, so agreement with the library is meaningful
-evidence rather than a tautology.  The one exception is
-reference_smith_normal_form, a frozen copy of the package's earlier Smith
-elimination, which pins the exact u, s and v the rewritten one must reproduce.
+evidence rather than a tautology.  The two exceptions are frozen copies of
+the package's earlier eliminations: reference_smith_normal_form pins the exact
+u, s and v the rewritten Smith elimination must reproduce, and
+reference_hermite_normal_form the Hermite form its xgcd loop built.
 """
 
 from __future__ import annotations
@@ -146,6 +147,54 @@ def reference_smith_normal_form(
     s = tuple(tuple(row[:n]) for row in rows[:m])
     v = tuple(tuple(row) for row in rows[m:])
     return u, s, v
+
+
+def reference_hermite_normal_form(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Hermite form by the original xgcd elimination, as row tuples.
+
+    This is the package's Hermite loop as it stood before the floor-division
+    rewrite: the first nonzero row of each column is the pivot, and every row
+    below is cleared against it by the unimodular 2x2 transform that the
+    extended Euclid coefficients give.
+    """
+
+    def xgcd(a: int, b: int) -> tuple[int, int, int]:
+        x0, x1, y0, y1 = 1, 0, 0, 1
+        while b:
+            q = a // b
+            a, b = b, a - q * b
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        return (-a, -x0, -y0) if a < 0 else (a, x0, y0)
+
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    h = [list(row) for row in rows]
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if h[i][j]), -1)
+        if piv < 0:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        for i in range(r + 1, m):
+            if h[i][j] == 0:
+                continue
+            g, x, y = xgcd(h[r][j], h[i][j])
+            p, q = h[r][j] // g, h[i][j] // g
+            h[r], h[i] = (
+                [x * hr + y * hi for hr, hi in zip(h[r], h[i])],
+                [-q * hr + p * hi for hr, hi in zip(h[r], h[i])],
+            )
+        if h[r][j] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][j] // h[r][j]
+            if q:
+                h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
+        r += 1
+    return tuple(map(tuple, h))
 
 
 def rational_coords(basis: list[list[int]], vector: list[int]) -> list[Fraction] | None:

@@ -1,7 +1,10 @@
 import random
+import time
 
 import pytest
 
+from chowobstruct.chow import AmbientSpace
+from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.intlinalg import (
     IntegerMatrix,
     hermite_normal_form,
@@ -15,6 +18,7 @@ from oracles import (
     cofactor_det,
     frac_membership,
     independent_rows_membership,
+    reference_hermite_normal_form,
     reference_smith_normal_form,
     reference_snf_diagonal,
 )
@@ -211,6 +215,51 @@ def test_hnf_shape_random():
         for r, pj in enumerate(pivots):
             for i in range(r):
                 assert 0 <= h.entries[i][pj] < h.entries[r][pj]
+
+
+def hnf_reference_inputs():
+    rng = random.Random(27)
+    for k in range(3000):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        bound = (1, 2, 3, 99, 10**6)[k % 5]
+        yield [
+            [0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(n)]
+            for _ in range(m)
+        ], n
+    # zero matrices, no rows or no columns, more rows than columns
+    for m, n in ((0, 0), (0, 4), (4, 0), (3, 3), (5, 2)):
+        yield [[0] * n for _ in range(m)], n
+    yield [[3, 5], [6, 10], [-9, -15], [1, 0], [0, 7]], 2
+    # rank-deficient: repeated rows, a multiple of a sum, a zero column
+    yield [[2, 4, 6], [2, 4, 6], [1, 2, 3]], 3
+    yield [[1, 2, 0, 3], [4, 5, 0, 6], [10, 14, 0, 18]], 4
+    yield [[0, 6, -4], [0, 9, -6], [0, -3, 2], [0, 0, 0]], 3
+
+
+def test_hnf_matches_the_reference_elimination():
+    # the floor-division pivot loop gives the xgcd loop's form entry for entry
+    for rows, n in hnf_reference_inputs():
+        h = hermite_normal_form(IntegerMatrix(rows, cols=n))
+        assert h.entries == reference_hermite_normal_form(rows), rows
+        assert (h.rows, h.cols) == (len(rows), n)
+
+
+def test_hnf_keeps_large_relation_matrices_fast():
+    # entries never pass through Bezout coefficients, so a dense 40 x 40 and the
+    # 210 x 252 relations of ten P^1 factors in degree 5 each take well under
+    # a second; the xgcd loop needed over ten seconds on the first and did not
+    # finish the second within a minute
+    dense = IntegerMatrix(seeded_matrix("hnf-40", 40, 40, 99))
+    group = complement_group(
+        ComplementModel(AmbientSpace((1,) * 10), (1,) * 10), 5, PushforwardAssumption.naive()
+    )
+    assert (group.relations.rows, group.relations.cols) == (210, 252)
+    for mat in (dense, group.relations):
+        start = time.perf_counter()
+        hermite_normal_form(mat)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"{mat.rows}x{mat.cols} took {elapsed:.2f}s"
+    assert not group.is_finite()
 
 
 def test_lattice_contains_examples():

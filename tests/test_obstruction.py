@@ -6,7 +6,7 @@ import pytest
 
 from chowobstruct import abelian, chow, obstruction
 from chowobstruct.abelian import InfiniteGroupError
-from chowobstruct.chow import AmbientSpace, ChowClass, class_str, parse_class, reduce_mod2
+from chowobstruct.chow import AmbientSpace, ChowClass, class_str, cup, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.intlinalg import _gf2_mask
 from chowobstruct.obstruction import (
@@ -467,6 +467,56 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
                     expected = decide(model, lift, assumption).verdict
                 assert verdict == expected, (dims, degrees, name, p1, p2)
                 assert verdict.value == oracle[th], (dims, degrees, name, p1, p2)
+
+
+# Twisting a rank-2 bundle by a line bundle L, or dualizing it, keeps it
+# algebraic or not.  Its Chern classes move to (c1 + 2l, c2 + c1*l + l^2) and to
+# (-c1, c2) (Fulton, Intersection Theory, Example 3.2.2), so verdicts must not.
+
+
+def test_theta_vanishes_on_the_twist_term():
+    # Sq^2 squares a divisor and kills l^2 mod 2, so by the Cartan formula
+    # Sq^2(c1*l + l^2) = c1^2*l + c1*l^2 = c1*(c1*l + l^2): theta(c1, c1*l + l^2)
+    # is 0 for every parity pair (c1, l), checked on sq2 and cup themselves
+    checked = 0
+    for dims in _TABLE_GRIDS:
+        ambient = AmbientSpace(dims)
+        parities = list(itertools.product((0, 1), repeat=len(ambient.monomial_basis(1))))
+        for p1, pl in itertools.product(parities, repeat=2):
+            c1 = ChowClass.from_coords(ambient, 1, p1)
+            l = ChowClass.from_coords(ambient, 1, pl)
+            assert theta(ChernPair(c1, cup(c1, l) + cup(l, l))).is_zero(), (dims, p1, pl)
+            checked += 1
+    assert checked == 356
+
+
+@pytest.mark.parametrize("dims", list(_TABLE_GRIDS), ids=lambda dims: "x".join(f"P{n}" for n in dims))
+def test_decide_is_constant_under_twist_and_dual(dims):
+    ambient = AmbientSpace(dims)
+    b1, b2 = len(ambient.monomial_basis(1)), len(ambient.monomial_basis(2))
+    rng = random.Random(f"twist-{dims}")
+
+    def lift(size):
+        return [rng.randint(-5, 5) for _ in range(size)]
+
+    names = ["naive", "nori"] + (["even-degree"] if dims in EVEN_DEGREE_MOD2 else [])
+    seen = set()
+    for degrees in _TABLE_GRIDS[dims]:
+        model = ComplementModel(ambient, degrees)
+        for name in names:
+            for _ in range(4):
+                c1, l = lift(b1), ChowClass.from_coords(ambient, 1, lift(b1))
+                c2 = ChowClass.from_coords(ambient, 2, lift(b2))
+                pair = ChernPair(ChowClass.from_coords(ambient, 1, c1), c2)
+                twist = ChernPair(
+                    ChowClass.from_coords(ambient, 1, [x + 2 * y for x, y in zip(c1, l.coords())]),
+                    c2 + cup(pair.c1, l) + cup(l, l),
+                )
+                dual = ChernPair(ChowClass.from_coords(ambient, 1, [-x for x in c1]), c2)
+                verdicts = {decide(model, p, ASSUMPTIONS[name]).verdict for p in (pair, twist, dual)}
+                assert len(verdicts) == 1, (dims, degrees, name, c1, c2.coords(), l.coords())
+                seen |= verdicts
+    assert len(seen) > 1
 
 
 @pytest.mark.parametrize(
