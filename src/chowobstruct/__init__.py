@@ -32,7 +32,6 @@ from .intlinalg import (
     hermite_reduce,
     smith_diagonal,
     smith_normal_form,
-    xgcd,
 )
 from .obstruction import (
     ChernPair,
@@ -87,5 +86,4 @@ __all__ = [
     "sq2",
     "sq2_descends",
     "theta",
-    "xgcd",
 ]

@@ -21,7 +21,6 @@ from .intlinalg import (
     hermite_normal_form,
     hermite_reduce,
     smith_diagonal,
-    xgcd,
 )
 
 
@@ -38,9 +37,9 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
     """
     if d1 <= 0 or d2 <= 0:
         raise ValueError("bezout expects positive integers")
-    g, x, _ = xgcd(d1, d2)
+    g = math.gcd(d1, d2)
     step = d2 // g
-    m = x % step
+    m = pow(d1 // g, -1, step)
     if 2 * m > step:
         m -= step
     n = (g - m * d1) // d2
@@ -49,9 +48,8 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
 
 def _box_level(bounds: Sequence[int], total: int) -> list[tuple[int, ...]]:
     """The vectors v with 0 <= v_i < bounds[i] and coordinate sum `total`, in
-    lexicographically descending order; none when no such vector exists."""
-    if not bounds:
-        return [()] if total == 0 else []
+    lexicographically descending order; none when no such vector exists.
+    bounds is not empty."""
     if len(bounds) == 1:
         return [(total,)] if 0 <= total < bounds[0] else []
     # prefixes with what they leave over, each coordinate running down from

@@ -14,20 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class IntegerMatrix:
     """Immutable dense integer matrix stored as a tuple of row tuples."""

@@ -22,7 +22,6 @@ spaces of total dimension 4, where the criterion applies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -202,22 +201,20 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
     return assm_group, len(assm_span), rule
 
 
-def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) -> dict:
-    """The verdict of every pair of parities of (c1, c2), as a dict with
-    2^(b1 + b2) keys, where b1, b2 and b3 are the ranks of CH^1, CH^2 and
-    CH^3 of the ambient space.
+def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) -> list[list[Verdict]]:
+    """The verdict of every pair of parities of (c1, c2): table[m1][m2] is
+    the verdict at the _gf2_mask values m1 of c1 and m2 of c2, over the
+    degree-1 and degree-2 monomial bases, which complement_group also uses
+    for coset coordinates.  It has 2^b1 rows of 2^b2 verdicts, where b1, b2
+    and b3 are the ranks of CH^1, CH^2 and CH^3 of the ambient space.
 
-    A key is a pair of 0/1 tuples over the degree-1 and degree-2 monomial
-    bases, which are the coordinates of cosets as well, since
-    complement_group names its generators by the basis monomials.  theta is
-    a degree-3 mod-2 class, so decide()'s verdict rule runs once on each of
-    the 2^b3 _gf2_mask values.  Mod 2, Sq^2 is additive and the cup product
-    is bilinear, so for a fixed c1, theta(c1, .) is linear in c2: its image
-    of the degree-2 basis monomial m_j is Sq^2(m_j) plus x_i*m_j for each
-    monomial x_i of c1, from sq2 on each m_j and the degree-3
-    _divisor_columns of each x_i.  Those b2 images are computed once per
-    parity of c1, and theta of each parity of c2 is the XOR of its images.
-    Callers check that the model has total dimension 4.
+    theta is a degree-3 mod-2 class, so decide()'s verdict rule runs once on
+    each of the 2^b3 masks.  Mod 2, Sq^2 is additive and the cup product is
+    bilinear, so theta(c1, .) is linear in c2: its image of the degree-2
+    basis monomial m_j is Sq^2(m_j) plus x_i*m_j for each monomial x_i of
+    c1.  One subset doubling over the _divisor_columns of the x_i gives
+    those images for every c1 mask, and one over the images gives theta of
+    every c2 mask.  Callers check that the model has total dimension 4.
     """
     ambient = model.ambient
     squares = [_gf2_mask(sq2(ChowClass._trusted(ambient, 2, {e: 1})).coords()) for e in ambient.monomial_basis(2)]
@@ -227,17 +224,15 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
     ]
     *_, rule = _verdict_rule(model, assumption)
     verdicts = [rule(mask)[0] for mask in range(1 << len(ambient.monomial_basis(3)))]
-    parities2 = list(itertools.product((0, 1), repeat=len(squares)))
-    table = {}
-    for parity1 in itertools.product((0, 1), repeat=len(products)):
-        rows = [row for row, bit in zip(products, parity1) if bit]
-        # theta of every parity of c2, in the order of parities2
+    images = [squares]
+    for row in products:
+        images += [[a ^ b for a, b in zip(image, row)] for image in images]
+    table = []
+    for image in images:
         masks = [0]
-        for j, image in enumerate(squares):
-            for row in rows:
-                image ^= row[j]
-            masks = [mask ^ term for mask in masks for term in (0, image)]
-        table.update(((parity1, parity2), verdicts[mask]) for parity2, mask in zip(parities2, masks))
+        for term in image:
+            masks += [mask ^ term for mask in masks]
+        table.append([verdicts[mask] for mask in masks])
     return table
 
 
@@ -259,7 +254,7 @@ def classify_all(model: ComplementModel, assumption: PushforwardAssumption) -> l
     both in enumeration order, so output is deterministic.
 
     theta reads the lifts only mod 2, so each verdict is the entry of the
-    parity table of _parity_verdicts at the row's coordinate parities, which
+    parity table of _parity_verdicts at the masks of the row's coordinates, which
     comes from decide()'s verdict rule and so equals decide() on the row's
     lift.  The list comes from the sweep that `classify` streams one CH^1
     coset at a time, with `list` as the renderer of each verdict column.
@@ -281,10 +276,10 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     yields its result.
 
     Labels are written from coset coordinates and generator names, and each
-    verdict is read from the dict of _parity_verdicts, so no lift, theta
+    verdict is read from _parity_verdicts at their masks, so no lift, theta
     class, report or verdict prose is built.  The groups of degrees 1 and 2,
     the finite-group guard, the dimension guard, the table and the CH^2
-    labels and parities come first, at the first next().
+    labels and masks come first, at the first next().
     """
     naive = PushforwardAssumption.naive()
     g1 = complement_group(model, 1, naive)
@@ -297,10 +292,10 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     table = _parity_verdicts(model, assumption)
     cosets2 = list(g2.elements())
     labels2 = [_terms_str(zip(g2.generator_names, coords)) for coords in cosets2]
-    parities2 = [tuple(c % 2 for c in coords) for coords in cosets2]
+    masks2 = [_gf2_mask(coords) for coords in cosets2]
     columns = {}
     for coords1 in g1.elements():
-        parity1 = tuple(c % 2 for c in coords1)
-        if parity1 not in columns:
-            columns[parity1] = render(zip(labels2, [table[parity1, parity2] for parity2 in parities2]))
-        yield _terms_str(zip(g1.generator_names, coords1)), columns[parity1]
+        mask1 = _gf2_mask(coords1)
+        if mask1 not in columns:
+            columns[mask1] = render(zip(labels2, [table[mask1][mask2] for mask2 in masks2]))
+        yield _terms_str(zip(g1.generator_names, coords1)), columns[mask1]

@@ -441,9 +441,16 @@ def test_bezout_minimal_m():
         bezout(0, 4)
 
 
+def test_repr_gives_the_constructor_arguments():
+    g = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
+    assert repr(g) == "AbelianPresentation(('x', 'y'), [[3, 0], [0, 4]])"
+
+
 def test_relation_width_validation():
     with pytest.raises(ValueError):
         AbelianPresentation(("x",), [[1, 2]])
+    with pytest.raises(ValueError, match="^relation width 2 != number of generators 1$"):
+        AbelianPresentation(("x",), IntegerMatrix([[1, 2]]))
     # a coordinate vector must have one entry per generator
     g = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
     for wrong in ((1,), (1, 0, 0)):

@@ -157,6 +157,12 @@ def test_parse_signs_and_degree_checks():
         parse_class(P1xP3, "x3")
     zero2 = parse_class(P1xP3, "0", degree=2)
     assert zero2.is_zero() and zero2.degree == 2
+    # a sign after a sign flips it, and the blank between them is skipped
+    assert parse_class(P1xP3, "x1 - - x2") == parse_class(P1xP3, "x1 + x2")
+
+
+def test_repr_names_ambient_degree_and_terms():
+    assert repr(parse_class(P1xP3, "3*x1 - x2")) == "ChowClass(P^1 x P^3, deg 1, 3*x1 - x2)"
 
 
 def test_reduce_mod2():
@@ -182,6 +188,8 @@ def test_class_validation():
         lambda: parse_class(P1xP3, "x1 + x2^2"),
         lambda: parse_class(P4, "0", degree=-1),
         lambda: parse_class(P4, "x2"),
+        lambda: parse_class(P4, "  \t"),  # a blank literal
+        lambda: parse_class(P1xP3, "x1") + parse_class(P1xP3, "x2^2"),  # degrees 1 and 2
         lambda: AmbientSpace(()),
         lambda: AmbientSpace((0, 3)),
     ):

@@ -78,6 +78,8 @@ def test_cup_subcommand(capsys):
     code, out, _ = run_cli(capsys, "cup", "--ambient", "1,3", "--a", "3*x1 + 4*x2", "--b", "x2")
     assert code == 0
     assert out.strip() == "3*x1*x2 + 4*x2^2"
+    # degree-0 classes are integers, written without a monomial
+    assert run_cli(capsys, "cup", "--ambient", "4", "--a", "2", "--b", "3") == (0, "6\n", "")
 
 
 def test_sq2_subcommand(capsys):
@@ -219,6 +221,13 @@ def test_dump_json_matches_the_stdlib_writer(obj):
     assert dump_json(obj) == json.dumps(_canonicalised(obj), sort_keys=True, indent=2) + "\n"
 
 
+def test_dump_json_rejects_a_set_as_the_stdlib_writer_does():
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        dump_json({"x": {1}})
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        json.dumps({1})
+
+
 # Each ends in argparse, with a usage error or help.  run() parses those that
 # start with a subcommand's name with that subcommand's parser.
 _BAD_COMMAND_LINES = (
@@ -256,6 +265,25 @@ def test_subcommand_arguments_parse_as_the_top_level_parser_does():
         parsed = vars(cli.PARSER.parse_args(argv))
         assert parsed.pop("command") == argv[0]
         assert vars(cli._parse(argv)) == parsed
+
+
+# Each is rejected after argparse, by a class literal parser, a domain check
+# or a JSON reader, with one line on stderr and nothing on stdout.
+_USAGE_MESSAGES = (
+    (("sq2", "--ambient", "4", "--class", "+x1"), "misplaced sign in '+x1'"),
+    (("sq2", "--ambient", "4", "--class", "x1+"), "trailing sign in 'x1+'"),
+    (("sq2", "--ambient", "4", "--class", "x1**x1"), "empty factor in term 'x1**x1'"),
+    (("sq2", "--ambient", "4", "--class", "y1"), "cannot parse factor 'y1'"),
+    (("complement", "--ambient", "4", "--degree", "3", "--j", "-1"), "degree must be nonnegative"),
+    (("closed-form", "--d1", "0", "--d2", "3"), "closed forms require d1, d2 >= 1"),
+    (("group",), "group needs --relations or --presentation"),
+    (("group", "--relations", "[1,2]"), "matrix literal must be a JSON array of arrays"),
+)
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_MESSAGES, ids=[" ".join(argv) for argv, _ in _USAGE_MESSAGES])
+def test_usage_error_messages(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 def test_usage_error_exit_code(capsys):

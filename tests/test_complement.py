@@ -234,6 +234,8 @@ def test_custom_assumption_directions():
     assert cert_b.status == Status.UPPER_BOUND_ONLY
     with pytest.raises(InapplicableAssumptionError):
         complement_group(model34(), 2, contains)
+    with pytest.raises(ValueError, match="^custom subgroups declare contains_image or contained_in_image$"):
+        PushforwardAssumption.custom(gens, "equals_image", 3)
 
 
 def test_naive_degree1_matches_componentwise_closed_form():

@@ -7,7 +7,10 @@ class raise TypeError, not FrozenInstanceError, for a name that is not a field.
 No function fills in a parameter left as None (`if p is None: p = ...`): a
 default the caller cannot see is a policy written twice.  No call's callee is
 itself a call to a package function (`make(x)(y)`): a factory whose result is
-called once on the spot is one function split in two.
+called once on the spot is one function split in two.  Every name in the
+package's __all__ is read somewhere in the package outside `__init__.py`,
+or HELD says what holds it in place: an export that no code calls is API
+kept for readers, and each such choice is written down once.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -55,6 +58,29 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def unread_exports(sources: dict[str, str]) -> list[str]:
+    """The names in the `__init__` source's __all__ that no other source reads."""
+    exported = []
+    for node in ast.parse(sources["__init__"]).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = ast.literal_eval(node.value)
+    read = {
+        node.id
+        for module, source in sources.items()
+        if module != "__init__"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in exported if name not in read]
+
+
+# Exports that no code in the package calls, with what holds each in place.
+HELD = {
+    "classify_all": "the library form of `classify`: the README names it, and acceptance criteria 5 and 6 run it",
+    "sq2_descends": "the executable check that Sq^2 respects the degree-2 relations: acceptance criterion 8 runs it",
+}
 
 
 HAND_WRITTEN = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
@@ -167,6 +193,20 @@ def test_every_definition_is_read_or_imported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert "__init__" in sources
     assert unread_definitions(sources) == []
+
+
+def test_unread_exports_are_found():
+    sources = {
+        "a": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
+        "b": "from .a import h\n",
+        "__init__": "from .a import f, g, h\n__all__ = ['f', 'g', 'h']\nf()\n",
+    }
+    assert unread_exports(sources) == ["f", "h"]
+
+
+def test_every_export_is_read_or_held():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(unread_exports(sources)) == sorted(HELD)
 
 
 def test_hand_written_dunders_are_found():

@@ -11,7 +11,6 @@ from chowobstruct.intlinalg import (
     hermite_reduce,
     smith_diagonal,
     smith_normal_form,
-    xgcd,
 )
 
 from oracles import (
@@ -49,15 +48,6 @@ def random_matrix(rng, max_dim=6, max_entry=20):
     return IntegerMatrix(
         [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(m)]
     )
-
-
-def test_xgcd_basic():
-    for a, b in [(12, 18), (-12, 18), (0, 5), (5, 0), (0, 0), (7, -3), (1, 1)]:
-        g, x, y = xgcd(a, b)
-        assert g >= 0
-        assert x * a + y * b == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_snf_triangular_bezout_instance():
@@ -368,6 +358,9 @@ def test_vector_length_validation():
 def test_matrix_validation():
     with pytest.raises(ValueError):
         IntegerMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^cannot multiply 1x2 by 1x2$"):
+        IntegerMatrix([[1, 2]]) @ IntegerMatrix([[3, 4]])
+    assert repr(IntegerMatrix([[1, -2], [3, 4]])) == "IntegerMatrix([[1, -2], [3, 4]])"
     with pytest.raises(ValueError):
         IntegerMatrix([[1.5]])
     assert IntegerMatrix([["12", "-3"]]).entries == ((12, -3),)

@@ -189,6 +189,8 @@ def test_decide_rejects_foreign_pair():
 
     with pytest.raises(AmbientMismatchError):
         decide(model, pair_on(AmbientSpace((2, 2)), "0", "0"), NAIVE)
+    with pytest.raises(AmbientMismatchError, match="^c1 and c2 live in different ambient spaces$"):
+        ChernPair(parse_class(P1xP3, "x1"), parse_class(AmbientSpace((2, 2)), "x1^2"))
 
 
 def test_decide_soundness_directions():
@@ -454,13 +456,13 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
         model = ComplementModel(ambient, degrees)
         for name, assumption, rows in assumptions:
             table = obstruction._parity_verdicts(model, assumption)
-            assert len(table) == len(pairs), (dims, degrees, name)
+            assert [len(row) for row in table] == [2 ** len(basis2)] * 2 ** len(basis1), (dims, degrees, name)
             *_, rule = obstruction._verdict_rule(model, assumption)
             oracle = {}
             for p1, p2, lift, gf2, th in pairs:
                 if th not in oracle:
                     oracle[th] = theta_verdict(dims, degrees, *gf2, assumption.direction.value, rows)
-                verdict = table[p1, p2]
+                verdict = table[_gf2_mask(p1)][_gf2_mask(p2)]
                 if name in ASSUMPTIONS:
                     expected = rule(_gf2_mask(theta(lift).coords()))[0]
                 else:
