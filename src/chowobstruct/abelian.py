@@ -180,8 +180,8 @@ class AbelianPresentation:
         return self._mod2_quotient(len(_gf2_span(self.relations.entries)))
 
     def _mod2_quotient(self, rank: int) -> "AbelianPresentation":
-        """tensor_mod2 for a caller that already holds the GF(2) span of the
-        relations, from the rank of that span."""
+        """tensor_mod2 from the rank of the relations' GF(2) span, for a
+        caller that reduced the relation rows mod 2 itself, as decide() does."""
         n = self.ngens
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
         out = AbelianPresentation(self.generator_names, IntegerMatrix._trusted(self.relations.entries + twos, n))

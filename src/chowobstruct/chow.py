@@ -122,11 +122,6 @@ class ChowClass:
         return self
 
     @classmethod
-    def monomial(cls, ambient: AmbientSpace, exps: Sequence[int], coeff: int = 1) -> "ChowClass":
-        exps = tuple(int(e) for e in exps)
-        return cls(ambient, sum(exps), {exps: coeff})
-
-    @classmethod
     def from_coords(cls, ambient: AmbientSpace, degree: int, coords: Sequence[int]) -> "ChowClass":
         basis = ambient.monomial_basis(degree)
         if len(coords) != len(basis):

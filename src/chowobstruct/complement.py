@@ -166,30 +166,22 @@ class ComplementModel:
         return all(d > 0 for d in self.multidegree)
 
 
-def _naive_relation_rows(model: ComplementModel, j: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of the divisor-multiple subgroup in the degree-j basis.
+def _relation_rows(model: ComplementModel, j: int, assumption: PushforwardAssumption) -> tuple[tuple[int, ...], ...]:
+    """The assumption's subgroup generators in the degree-j basis, as read by
+    complement_group and the verdict rule; raises where it does not apply.
 
-    In degree 1 the quotient is presented with one relation d_i * x_i per
-    factor, so that CH^1 splits as the direct sum of Z/d_i with x_i generating
-    the i-th summand; in every other degree the generators are z * (each
-    degree j-1 basis monomial), the coordinate tuples of _divisor_columns,
-    taken directly as relation rows, and degree 0 has none.
+    naive and nori take the divisor-multiple subgroup.  In degree 1 the
+    quotient is presented with one relation d_i * x_i per factor, so that
+    CH^1 splits as the direct sum of Z/d_i with x_i generating the i-th
+    summand; in every other degree the generators are z * (each degree j-1
+    basis monomial), the coordinate tuples of _divisor_columns, taken
+    directly as relation rows, and degree 0 has none.
     """
-    ambient = model.ambient
-    if j == 1:
-        k = ambient.k
-        return tuple(
-            tuple(model.multidegree[i] * int(c == i) for c in range(k)) for i in range(k)
-        )
-    return _divisor_columns(ambient, model.z_class, j)
-
-
-def _relation_rows(
-    model: ComplementModel, j: int, assumption: PushforwardAssumption
-) -> tuple[tuple[int, ...], ...]:
-    """The assumption's subgroup generators in the degree-j basis; raises where it does not apply."""
     if assumption.presents_divisor_multiples:
-        return _naive_relation_rows(model, j)
+        if j == 1:
+            k = model.ambient.k
+            return tuple(tuple(model.multidegree[i] * int(c == i) for c in range(k)) for i in range(k))
+        return _divisor_columns(model.ambient, model.z_class, j)
     if j == assumption.applicable_degree:
         if assumption.kind == AssumptionKind.EVEN_DEGREE:
             rows = _EVEN_DEGREE_ROWS.get(model.ambient.factor_dims)

@@ -109,13 +109,14 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
     The verdict is sound relative to the declared assumption: NOT_ALGEBRAIZABLE
     is only ever derived from a quotient asserted to contain the pushforward
     image, ALGEBRAIZABLE only from a quotient by a subgroup lying inside it.
-    The verdict comes from _verdict_rule, shared with classify's table; the
-    basis text is written here, from the verdict and naive_zero.
+    The verdict comes from _verdict_rule, shared with classify's table, on the
+    rows of the degree-3 group reported mod 2; the basis text is written here.
     """
     _check_total_dim(model)
     if pair.c1.ambient != model.ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
-    assm_group, assm_rank, rule = _verdict_rule(model, assumption)
+    assm_group = complement_group(model, 3, assumption)
+    assm_rank, rule = _verdict_rule(model, assumption, assm_group.relations.entries)
     certificates = {
         "naive": certificate(model, 3, PushforwardAssumption.naive()).as_dict(),
         "assumption": certificate(model, 3, assumption).as_dict(),
@@ -166,20 +167,19 @@ def _check_total_dim(model: ComplementModel) -> None:
         )
 
 
-def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
+def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption, assm_rows):
     """The verdict rule of decide() and classify's table, per model and assumption.
 
-    theta is read modulo degree-3 GF(2) spans that do not depend on the pair:
-    the assumption's, from its group, and the divisor-multiple one, which is
-    the same span under naive and nori and otherwise comes from the naive
-    relation rows with no group built.  Returns the assumption's degree-3
-    group, the rank of its span, which sizes the group's tensor_mod2, and a
-    function from theta's _gf2_mask to (verdict, naive_zero, theta's mask
-    reduced modulo the assumption's span), which reduces theta once per
-    distinct span.  Callers check that the model has total dimension 4.
+    theta is read modulo degree-3 GF(2) spans that do not depend on the pair,
+    built from relation rows with no group: the assumption's, from assm_rows,
+    its degree-3 rows, and the divisor-multiple one, which is the same span
+    under naive and nori and otherwise comes from the naive rows.  Returns
+    the rank of the assumption's span, which sizes decide()'s reported mod-2
+    quotient, and a function from theta's _gf2_mask to (verdict, naive_zero,
+    theta's mask reduced modulo the assumption's span), which reduces theta
+    once per distinct span.  Callers check that the model has total dimension 4.
     """
-    assm_group = complement_group(model, 3, assumption)
-    assm_span = _gf2_span(assm_group.relations.entries)
+    assm_span = _gf2_span(assm_rows)
     if assumption.presents_divisor_multiples:
         naive_span = assm_span
     else:
@@ -198,7 +198,7 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption):
             verdict = Verdict.UNDETERMINED
         return verdict, naive_zero, assm_mask
 
-    return assm_group, len(assm_span), rule
+    return len(assm_span), rule
 
 
 def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) -> list[list[Verdict]]:
@@ -222,7 +222,7 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
         [_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass._trusted(ambient, 1, {e: 1}), 3)]
         for e in ambient.monomial_basis(1)
     ]
-    *_, rule = _verdict_rule(model, assumption)
+    _, rule = _verdict_rule(model, assumption, _relation_rows(model, 3, assumption))
     verdicts = [rule(mask)[0] for mask in range(1 << len(ambient.monomial_basis(3)))]
     images = [squares]
     for row in products:

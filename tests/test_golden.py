@@ -12,7 +12,9 @@ naive, nori and second even-degree ``classify`` tables were recorded while
 once per parity class; the nori ``complement`` entries at j = 2 and 3 and the
 non-ample one were recorded while ``complement_group`` still returned its
 certificate alongside the presentation; the two domain-error entries were
-recorded while ``classify`` still wrote its own output.  A refactor that
+recorded while ``classify`` still wrote its own output; the last six
+``obstruct`` entries were recorded while the verdict rule still built a
+degree-3 presentation to read its relation rows.  A refactor that
 changes any verdict, justification, class string, JSON key order or row order
 changes a hash here.
 
@@ -79,6 +81,16 @@ _BASE_COMMANDS = (
     # domain errors: an infinite group and an unsupported dimension
     ("classify", "--ambient", "2,2", "--degree", "1,1", "--assumption", "naive"),
     ("obstruct", "--ambient", "3", "--degree", "2", "--c1", "0", "--c2", "0", "--assumption", "naive"),
+    # obstruct on the rest of the benchmark's (ambient, assumption) pairs
+    ("obstruct", "--example", "trento"),
+    ("obstruct", "--ambient", "1,3", "--degree", "3,4", "--c1", "x2", "--c2", "x1*x2", "--assumption", "naive"),
+    ("obstruct", "--ambient", "1,3", "--degree", "3,4", "--c1", "x2", "--c2", "x1*x2", "--assumption", "nori"),
+    ("obstruct", "--ambient", "2,2", "--degree", "2,3", "--c1", "x2", "--c2", "x1*x2 - 3*x2^2",
+     "--assumption", "nori"),
+    ("obstruct", "--ambient", "1,1,2", "--degree", "1,2,3", "--c1", "x1 + x3", "--c2", "x3^2 + x1*x2",
+     "--assumption", "nori"),
+    ("obstruct", "--ambient", "1,1,1,1", "--degree", "1,1,1,1", "--c1", "-x2", "--c2", "x1*x2 + x3*x4",
+     "--assumption", "nori"),
 )
 
 # Every command in text and in --json.
@@ -172,6 +184,18 @@ GOLDEN = (
     (1, "9c003ddda5bd035eb7159d26f9b89ca703f2c87ca6f72c9f4b974d02813b3024"),
     (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (1, "bf9b3a28a7ce5ae030e604cbc565ae903716e20693f1f1067811046f5a48b897"),
+    (0, "af4954683dd8c6bb6c12b92bb086b0c4b34bcda743e592f8c112bce8e8d0d288"),
+    (0, "cc534568196afef83f9e545d2a27e790ba2c0a1a9022dfb6b77c93914235af34"),
+    (0, "bf88519eb8af1f8bb00941304710b5f3c736185abc89c78654f499e43afaafb6"),
+    (0, "73c64556a4e8fa0cebfaf22149ef01840b9ef948ff698eb974f8e871c559808c"),
+    (0, "3170d3bbe3db8ccf4bdddc35a9f036ecb2142cd10250a098bb3c3e6050660d3b"),
+    (0, "cd9446da10bdb6b29736765dc10cb5ab8d3f0aa66bd80586f61c27da2c5ec14a"),
+    (0, "5385e4fd280de90744da0f320d02b6166a4706d0e1ad9ff6b58b1395acab1fa6"),
+    (0, "08aa319983c47d3bee2e1ac818972f57e77a5b1b7f6c01d400bd201f60ca3111"),
+    (0, "b4085f26c3718b5ad004052472081469b6b12aa8cf5c879cad10d7944f571cd5"),
+    (0, "81254584443cd2e1c8858f1102981343440ee4cb94b59afb08de3c7c54701d15"),
+    (0, "8087ae103c82a416cdec4ea86689cd78ab22b0d10ccd6429df2e4cd338aa39c6"),
+    (0, "e2e283b51ea0b577a5349c96cbbf228f2e6d32e4b4925ba07173ad0efda6c305"),
 )
 
 

@@ -10,7 +10,10 @@ itself a call to a package function (`make(x)(y)`): a factory whose result is
 called once on the spot is one function split in two.  Every name in the
 package's __all__ is read somewhere in the package outside `__init__.py`,
 or HELD says what holds it in place: an export that no code calls is API
-kept for readers, and each such choice is written down once.
+kept for readers, and each such choice is written down once.  The same holds
+one level down: every public method, property, classmethod and staticmethod
+in the body of an exported class is read as an attribute somewhere in the
+package outside `__init__.py`, or HELD_METHODS says what holds it.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -80,6 +83,41 @@ def unread_exports(sources: dict[str, str]) -> list[str]:
 HELD = {
     "classify_all": "the library form of `classify`: the README names it, and acceptance criteria 5 and 6 run it",
     "sq2_descends": "the executable check that Sq^2 respects the degree-2 relations: acceptance criterion 8 runs it",
+}
+
+
+def unread_methods(sources: dict[str, str]) -> list[str]:
+    """Class.name for every public def in the body of a class named in the
+    `__init__` source's __all__ whose name no other source reads as an attribute."""
+    exported = set()
+    for node in ast.parse(sources["__init__"]).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        if module == "__init__":
+            continue
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                defined += [
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+                ]
+        read.update(
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
+
+
+# Public methods of exported classes that no code in the package reads, with
+# what holds each in place.
+HELD_METHODS = {
+    "AbelianPresentation.element_order": "the README example prints it",
+    "ChowClass.is_zero": "acceptance criterion 3 calls it",
+    "AbelianPresentation.tensor_mod2": "tests reduce arbitrary presentations mod 2 through it",
 }
 
 
@@ -207,6 +245,26 @@ def test_unread_exports_are_found():
 def test_every_export_is_read_or_held():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert sorted(unread_exports(sources)) == sorted(HELD)
+
+
+def test_unread_methods_are_found():
+    sources = {
+        "a": (
+            "class C:\n    def m(self):\n        return self.p\n    @property\n    def p(self):\n        pass\n"
+            "    @classmethod\n    def make(cls):\n        pass\n    @staticmethod\n    def s():\n        pass\n"
+            "    def _private(self):\n        pass\n    def __repr__(self):\n        return ''\n"
+            "    class Inner:\n        pass\n"
+            "class D:\n    def m(self):\n        pass\n    def n(self):\n        pass\n"
+        ),
+        "b": "from .a import C, D\nC.make().s\nm = 1\nD.n = None\n",
+        "__init__": "from .a import C\n__all__ = ['C']\nC().m()\n",
+    }
+    assert unread_methods(sources) == ["C.m"]
+
+
+def test_every_public_method_is_read_or_held():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(unread_methods(sources)) == sorted(HELD_METHODS)
 
 
 def test_hand_written_dunders_are_found():

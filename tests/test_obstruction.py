@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chowobstruct import abelian, chow, obstruction
+from chowobstruct import abelian, chow, complement, obstruction
 from chowobstruct.abelian import InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, cup, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
@@ -45,7 +45,7 @@ def test_theta_on_p4():
     for m in range(4):
         for a in range(4):
             th = theta(pair_on(P4, f"{m}*x1", f"{a}*x1^2"))
-            expected = ChowClass.monomial(P4, (3,), a * m % 2)
+            expected = ChowClass(P4, 3, {(3,): a * m % 2})
             assert th == reduce_mod2(expected)
 
 
@@ -344,8 +344,8 @@ def test_classify_lifts_are_smallest_representatives():
 
 @pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=["naive", "nori", "even-degree"])
 def test_classify_builds_each_group_once(monkeypatch, assumption):
-    # CH^1 and CH^2 for the cosets, and the assumption's degree-3 quotient
-    # once per sweep; the naive degree-3 span needs no group
+    # CH^1 and CH^2 for the cosets, once per sweep; the verdict table reads
+    # the degree-3 relation rows mod 2 and needs no group
     built = []
 
     def counting_complement_group(model, j, assumption=None):
@@ -356,8 +356,30 @@ def test_classify_builds_each_group_once(monkeypatch, assumption):
     for model in (ComplementModel(P4, (6,)), ComplementModel(P1xP3, (2, 4))):
         built.clear()
         classify_all(model, assumption)
-        assert sorted(j for j, _ in built) == [1, 2, 3], model
+        assert sorted(j for j, _ in built) == [1, 2], model
         assert len(set(built)) == len(built), model
+
+
+@pytest.mark.parametrize(
+    "assumption, rows", [(NAIVE, [NAIVE]), (NORI, [NORI]), (EVEN, [EVEN, NAIVE])], ids=["naive", "nori", "even-degree"]
+)
+def test_decide_computes_each_degree_3_row_set_once(monkeypatch, assumption, rows):
+    # the presentation decide() reports and its verdict rule share the
+    # assumption's rows; only even-degree needs the naive rows as well
+    calls = []
+    relation_rows = complement._relation_rows
+
+    def counting_relation_rows(model, j, assumption):
+        calls.append((j, assumption))
+        return relation_rows(model, j, assumption)
+
+    monkeypatch.setattr(complement, "_relation_rows", counting_relation_rows)
+    monkeypatch.setattr(obstruction, "_relation_rows", counting_relation_rows)
+    for model, pair in ((ComplementModel(P1xP3, (3, 4)), pair_on(P1xP3, "0", "x1*x2")),
+                        (ComplementModel(P4, (6,)), pair_on(P4, "x1", "x1^2"))):
+        calls.clear()
+        decide(model, pair, assumption)
+        assert calls == [(3, a) for a in rows], model
 
 
 def _sweep_against_decide(monkeypatch, model, assumption):
@@ -457,7 +479,7 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
         for name, assumption, rows in assumptions:
             table = obstruction._parity_verdicts(model, assumption)
             assert [len(row) for row in table] == [2 ** len(basis2)] * 2 ** len(basis1), (dims, degrees, name)
-            *_, rule = obstruction._verdict_rule(model, assumption)
+            _, rule = obstruction._verdict_rule(model, assumption, complement._relation_rows(model, 3, assumption))
             oracle = {}
             for p1, p2, lift, gf2, th in pairs:
                 if th not in oracle:
@@ -615,7 +637,7 @@ def _flipping_lifts(model, assumption, pairs):
     relation row that change the verdict decide() gives on one of the pairs,
     read from decide()'s verdict rule on theta of the lift."""
     ambient = model.ambient
-    *_, rule = obstruction._verdict_rule(model, assumption)
+    _, rule = obstruction._verdict_rule(model, assumption, complement._relation_rows(model, 3, assumption))
 
     def verdict(c1, c2):
         pair = ChernPair(ChowClass.from_coords(ambient, 1, c1), ChowClass.from_coords(ambient, 2, c2))
