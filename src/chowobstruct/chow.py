@@ -93,7 +93,7 @@ class ChowClass:
 
     def __init__(self, ambient: AmbientSpace, degree: int, coeffs: Mapping[tuple[int, ...], int]):
         degree = _check_degree(degree)
-        items = []
+        summed: dict[tuple[int, ...], int] = {}
         for exps, c in coeffs.items():
             exps = tuple(int(e) for e in exps)
             c = int(c)
@@ -103,18 +103,17 @@ class ChowClass:
                 raise ValueError(f"monomial {exps} is not valid in {ambient}")
             if sum(exps) != degree:
                 raise ValueError(f"monomial {exps} has degree {sum(exps)}, expected {degree}")
-            items.append((exps, c))
-        items.sort(reverse=True)
+            summed[exps] = summed.get(exps, 0) + c
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_items", tuple(items))
+        object.__setattr__(self, "_items", ChowClass._trusted(ambient, degree, summed)._items)
 
     @classmethod
     def _trusted(cls, ambient: AmbientSpace, degree: int, coeffs: Mapping[tuple[int, ...], int]) -> "ChowClass":
         """A class from monomials the package built itself: int exponent tuples,
         in bounds and of the given degree, with int coefficients.  Nothing is
-        checked; zero coefficients are dropped and the items sorted as in
-        __init__."""
+        checked; zero coefficients are dropped and the items sorted, which
+        __init__ reuses once it has checked and summed its input."""
         self = object.__new__(cls)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "degree", degree)
@@ -200,6 +199,7 @@ def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple
 
 _FACTOR_RE = re.compile(r"(x(\d+)|xi|tau)(?:\^(\d+))?$")
 _ALIASES = {"ξ": "x1", "τ": "x2"}
+_NAMED_FACTORS = {"xi": 0, "tau": 1}
 
 
 def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> ChowClass:
@@ -210,6 +210,10 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
     are dropped, but a term that names a variable still contributes its
     written degree to degree inference.  Pass degree explicitly to parse a
     bare '0' at a specific codimension.
+
+    The literal is read once, left to right, and its first error is raised: a
+    '-' where a term is expected negates it, a '+' there is an error, and each
+    term is summed into its monomial as it is read.  Degrees are checked last.
     """
     src = text.strip()
     for greek, name in _ALIASES.items():
@@ -217,21 +221,18 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
     if not src:
         raise ValueError("empty class literal")
 
-    tokens = re.findall(r"[+-]|[^+-]+", src)
-    terms: list[tuple[tuple[int, ...], int]] = []
+    coeffs: dict[tuple[int, ...], int] = {}
     degrees_seen: set[int] = set()
     sign = 1
     expect_term = True
-    for tok in tokens:
+    for tok in re.findall(r"[+-]|[^+-]+", src):
         tok = tok.strip()
         if tok in {"+", "-"}:
-            if expect_term and tok == "-":
-                sign = -sign
-            elif expect_term:
+            if expect_term and tok == "+":
                 raise ValueError(f"misplaced sign in {text!r}")
-            else:
-                sign = 1 if tok == "+" else -1
-                expect_term = True
+            if tok == "-":
+                sign = -sign
+            expect_term = True
             continue
         if not tok:
             continue
@@ -249,20 +250,16 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
             name = m.group(1)
-            if name == "xi":
-                idx = 0
-            elif name == "tau":
-                idx = 1
-            else:
-                idx = int(m.group(2)) - 1
+            idx = int(m.group(2)) - 1 if m.group(2) else _NAMED_FACTORS[name]
             if not 0 <= idx < ambient.k:
                 raise ValueError(f"{name} is not a factor of {ambient}")
             exps[idx] += int(m.group(3) or 1)
             named = True
         if coeff or named:
             degrees_seen.add(sum(exps))
-        if coeff:
-            terms.append((tuple(exps), coeff))
+        exps = tuple(exps)
+        if ambient.in_bounds(exps):
+            coeffs[exps] = coeffs.get(exps, 0) + coeff
         sign = 1
         expect_term = False
     if expect_term:
@@ -274,11 +271,6 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
         degree = degrees_seen.pop() if degrees_seen else 0
     elif degrees_seen and degrees_seen != {degree}:
         raise ValueError(f"class {text!r} has degree {sorted(degrees_seen)}, expected {degree}")
-
-    coeffs: dict[tuple[int, ...], int] = {}
-    for exps, c in terms:
-        if ambient.in_bounds(exps):
-            coeffs[exps] = coeffs.get(exps, 0) + c
     return ChowClass._trusted(ambient, _check_degree(degree), coeffs)
 
 

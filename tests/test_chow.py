@@ -161,6 +161,66 @@ def test_parse_signs_and_degree_checks():
     assert parse_class(P1xP3, "x1 - - x2") == parse_class(P1xP3, "x1 + x2")
 
 
+# (ambient, literal, degree argument, outcome): the class as (degree,
+# coefficients), or the exact ValueError message.  The literal is read left to
+# right and its first error is the one reported; degrees are checked after.
+_PARSE_OUTCOMES = (
+    (P1xP3, "x1 + y + +", None, "cannot parse factor 'y'"),
+    (P1xP3, "x1 + x2^2 + y", None, "cannot parse factor 'y'"),
+    (P1xP3, "x1 - + x2", None, "misplaced sign in 'x1 - + x2'"),
+    (P1xP3, "-x1*x2 + +x2^2", None, "misplaced sign in '-x1*x2 + +x2^2'"),
+    (P1xP3, "+", None, "misplaced sign in '+'"),
+    (P1xP3, "- - x1", None, (1, {(1, 0): 1})),
+    (P1xP3, "x1 + - x2", None, (1, {(1, 0): 1, (0, 1): -1})),
+    (P1xP3, "x1 - - x2", None, (1, {(1, 0): 1, (0, 1): 1})),
+    (P1xP3, "x1 + -", None, "trailing sign in 'x1 + -'"),
+    (P1xP3, "x1 -", None, "trailing sign in 'x1 -'"),
+    (P1xP3, "-", None, "trailing sign in '-'"),
+    (P1xP3, "  \t", None, "empty class literal"),
+    (P1xP3, "0*x1 + x1*x2", None, "mixed degrees [1, 2] in '0*x1 + x1*x2'"),
+    (P4, "x1^5 + x1^4", None, "mixed degrees [4, 5] in 'x1^5 + x1^4'"),
+    (P1xP3, "0*x1", None, (1, {})),
+    (P1xP3, "0*x1", 2, "class '0*x1' has degree [1], expected 2"),
+    (P1xP3, "x1", 2, "class 'x1' has degree [1], expected 2"),
+    (P1xP3, "x1^2 + x1*x2", None, (2, {(1, 1): 1})),
+    (P1xP3, "x1*x1", None, (2, {})),
+    (P4, "τ", None, "x2 is not a factor of P^4"),
+    (P1xP3, "x0", None, "x0 is not a factor of P^1 x P^3"),
+    (P1xP3, "ξ*ξ*y", None, "cannot parse factor 'y'"),
+    (P1xP3, "xi*tau^2 + 2*ξ*τ^2", None, (3, {(1, 2): 3})),
+    (P1xP3, "3*x1**x2", None, "empty factor in term '3*x1**x2'"),
+    (P1xP3, "2*3*x2 - x1", None, (1, {(1, 0): -1, (0, 1): 6})),
+    (P1xP3, "x1 + 2 * x1", None, (1, {(1, 0): 3})),
+    (P4, "²*x1", None, "invalid literal for int() with base 10: '²'"),
+    (P1xP3, "x1 - x1", None, (1, {})),
+    (P1xP3, "3", None, (0, {(0, 0): 3})),
+    (P1xP3, "0", 2, (2, {})),
+    (P4, "0", -1, "degree must be nonnegative"),
+)
+
+
+@pytest.mark.parametrize("ambient, text, degree, outcome", _PARSE_OUTCOMES,
+                         ids=[f"{a}:{t!r}:{d}" for a, t, d, _ in _PARSE_OUTCOMES])
+def test_parse_class_outcomes(ambient, text, degree, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError) as exc:
+            parse_class(ambient, text, degree)
+        assert str(exc.value) == outcome
+    else:
+        assert parse_class(ambient, text, degree) == ChowClass(ambient, *outcome)
+
+
+def test_checked_construction_sums_each_monomial():
+    # the exponents ("1", "0") and (1, 0) name one monomial, which keeps one item
+    three = ChowClass(P1xP3, 1, {(1, 0): 3})
+    c = ChowClass(P1xP3, 1, {("1", "0"): 1, (1, 0): 2})
+    assert c == three and str(c) == "3*x1"
+    assert cup(c, parse_class(P1xP3, "x2")) == parse_class(P1xP3, "3*x1*x2")
+    assert ChowClass(P1xP3, 1, {("1", "0"): 1, (1, 0): -1}) == ChowClass(P1xP3, 1, {})
+    # a zero coefficient on a monomial that is not valid here is skipped
+    assert ChowClass(P1xP3, 1, {(5, 0): 0, (1, 0): 3}) == three
+
+
 def test_repr_names_ambient_degree_and_terms():
     assert repr(parse_class(P1xP3, "3*x1 - x2")) == "ChowClass(P^1 x P^3, deg 1, 3*x1 - x2)"
 

@@ -22,7 +22,7 @@ import pytest
 
 from chowobstruct import abelian, obstruction
 from chowobstruct.abelian import InfiniteGroupError
-from chowobstruct.chow import AmbientSpace, ChowClass
+from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class
 from chowobstruct.cli import dump_json, main
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.obstruction import classify_all
@@ -117,6 +117,65 @@ def test_every_row_matches_the_theta_oracle(monkeypatch):
             c1, c2 = gf2_parse(c1, len(dims)), gf2_parse(c2, len(dims))
             expected = theta_verdict(dims, degrees, c1, c2, direction, rows)
             assert verdict == expected, (dims, degrees, assumption, line)
+
+
+# (twist mismatches, twist checks, dual mismatches, rows) of each even-degree
+# sweep model with a mismatch.  These are the models whose even-degree
+# subgroup misses the divisor multiples z*CH^2 mod 2, so the verdict read off
+# a row depends on the lift that labels it; naive and nori have none.
+EVEN_DEGREE_TWIST_DUAL_MISMATCHES = {
+    ((4,), (3,)): (4, 27, 2, 9),
+    ((4,), (5,)): (28, 125, 8, 25),
+    ((4,), (7,)): (96, 343, 18, 49),
+    ((4,), (9,)): (224, 729, 32, 81),
+    ((4,), (11,)): (420, 1331, 50, 121),
+    ((1, 3), (1, 2)): (2, 16, 0, 8),
+    ((1, 3), (1, 3)): (16, 81, 6, 27),
+    ((1, 3), (1, 4)): (40, 256, 0, 64),
+    ((1, 3), (2, 3)): (98, 324, 12, 54),
+    ((1, 3), (3, 2)): (50, 144, 8, 24),
+    ((1, 3), (3, 3)): (252, 729, 28, 81),
+    ((1, 3), (3, 4)): (744, 2304, 64, 192),
+    ((1, 3), (4, 3)): (414, 1296, 24, 108),
+}
+
+
+def test_rows_are_constant_under_twist_and_dual():
+    # E (x) L has Chern classes (c1 + 2l, c2 + c1*l + l^2) and the dual E^v has
+    # (-c1, c2); each is looked up among the rows by the canonical coordinates
+    # of its classes in the degree-1 and degree-2 groups
+    checks, got = Counter(), {}
+    for dims, degrees, assumption in SWEEPS:
+        ambient = AmbientSpace(dims)
+        model = ComplementModel(ambient, degrees)
+        g1, g2 = complement_group(model, 1, NAIVE), complement_group(model, 2, NAIVE)
+
+        def key(c1, c2):
+            return g1.canonical_coords(c1.coords()), g2.canonical_coords(c2.coords())
+
+        rows = [(parse_class(ambient, r.c1, 1), parse_class(ambient, r.c2, 2), r.verdict)
+                for r in classify_all(model, ASSUMPTIONS[assumption])]
+        verdicts = {key(c1, c2): verdict for c1, c2, verdict in rows}
+        assert len(verdicts) == len(rows)
+        twists = [ChowClass.from_coords(ambient, 1, coords) for coords in g1.elements()]
+        twisted = dual = 0
+        for c1, c2, verdict in rows:
+            for l in twists:
+                twisted += verdicts[key(c1 + l + l, c2 + cup(c1, l) + cup(l, l))] != verdict
+            minus_c1 = ChowClass.from_coords(ambient, 1, [-x for x in c1.coords()])
+            dual += verdicts[key(minus_c1, c2)] != verdict
+        checks[assumption, "twist"] += len(rows) * len(twists)
+        checks[assumption, "dual"] += len(rows)
+        if twisted or dual:
+            got[dims, degrees] = (twisted, len(rows) * len(twists), dual, len(rows))
+            assert assumption == "even-degree", (dims, degrees, assumption)
+    assert checks == {
+        ("naive", "twist"): 16704, ("naive", "dual"): 1650,
+        ("nori", "twist"): 6084, ("nori", "dual"): 650,
+        ("even-degree", "twist"): 16704, ("even-degree", "dual"): 1650,
+    }
+    # 2,388 twist and 252 dual mismatches in all
+    assert got == EVEN_DEGREE_TWIST_DUAL_MISMATCHES
 
 
 # Sq^2 of each of the b2 degree-2 basis monomials, and the b1*b2 products of a
