@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
     IntegerMatrix,
-    _gf2_span,
     hermite_normal_form,
     hermite_reduce,
     smith_diagonal,
@@ -46,30 +45,35 @@ def bezout(d1: int, d2: int) -> tuple[int, int, int]:
     return g, m, n
 
 
-def _box_level(bounds: Sequence[int], total: int) -> list[tuple[int, ...]]:
-    """The vectors v with 0 <= v_i < bounds[i] and coordinate sum `total`, in
-    lexicographically descending order; none when no such vector exists.
-    bounds is not empty."""
+def _box_walk(bounds: Sequence[int], totals: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The vectors v with 0 <= v_i < bounds[i], level by level: for each
+    coordinate sum in `totals` in turn, the vectors with that sum in
+    lexicographically descending order; a sum that no vector has yields
+    nothing.  bounds is not empty.  The walk is lazy, so a box with a huge
+    bound yields its first vectors at once."""
     if len(bounds) == 1:
-        return [(total,)] if 0 <= total < bounds[0] else []
-    # prefixes with what they leave over, each coordinate running down from
-    # its largest value while the coordinates after it can hold the rest
+        for total in totals:
+            if 0 <= total < bounds[0]:
+                yield (total,)
+        return
     *head, a, b = bounds
     room = sum(bounds) - len(bounds)
-    prefixes = [((), total)]
-    for p in head:
-        room -= p - 1
-        prefixes = [
-            (v + (c,), left - c)
-            for v, left in prefixes
-            for c in range(min(p - 1, left), max(0, left - room) - 1, -1)
-        ]
-    # the last two coordinates: a plain range
-    return [
-        v + (c, left - c)
-        for v, left in prefixes
-        for c in range(min(a - 1, left), max(0, left - b + 1) - 1, -1)
-    ]
+    for total in totals:
+        # prefixes with what they leave over, each coordinate running down
+        # from its largest value while the coordinates after it can hold the rest
+        prefixes = [((), total)]
+        rest = room
+        for p in head:
+            rest -= p - 1
+            prefixes = [
+                (v + (c,), left - c)
+                for v, left in prefixes
+                for c in range(min(p - 1, left), max(0, left - rest) - 1, -1)
+            ]
+        # the last two coordinates: a plain range
+        for v, left in prefixes:
+            for c in range(min(a - 1, left), max(0, left - b + 1) - 1, -1):
+                yield v + (c, left - c)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -170,18 +174,14 @@ class AbelianPresentation:
             pj += 1
         return 0 if any(w) else result
 
-    def tensor_mod2(self) -> "AbelianPresentation":
-        """The mod-2 reduction: same generators, relations extended by 2*(each generator).
+    def _mod2_quotient(self, rank: int) -> "AbelianPresentation":
+        """The mod-2 reduction: same generators, relations extended by
+        2*(each generator), for a caller that reduced the relation rows mod 2
+        itself, as decide() does, and passes the rank r of their GF(2) span.
 
         Only its Smith diagonal is stored: the quotient is GF(2)^n / V for V
-        the GF(2) span of the relations, of rank r, so the diagonal is
-        (1,)*r + (2,)*(n - r).
+        that span, so the diagonal is (1,)*r + (2,)*(n - r).
         """
-        return self._mod2_quotient(len(_gf2_span(self.relations.entries)))
-
-    def _mod2_quotient(self, rank: int) -> "AbelianPresentation":
-        """tensor_mod2 from the rank of the relations' GF(2) span, for a
-        caller that reduced the relation rows mod 2 itself, as decide() does."""
         n = self.ngens
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
         out = AbelianPresentation(self.generator_names, IntegerMatrix._trusted(self.relations.entries + twos, n))
@@ -224,7 +224,10 @@ class AbelianPresentation:
 
         When at most one bound exceeds 1, every level holds one vector, the
         zero vector with c in that coordinate, so the box is a plain range
-        of c; with every bound 1 it is the zero vector alone.
+        of c; with every bound 1 it is the zero vector alone.  Otherwise
+        _box_walk, which also lists AmbientSpace.monomial_basis, yields the
+        box over all its levels in one lazy pass, so the first cosets of a
+        box with a huge bound come at once.
         """
         if not self.is_finite():
             raise InfiniteGroupError(f"group {self.describe()} is infinite")
@@ -242,8 +245,7 @@ class AbelianPresentation:
                 for c in range(bounds[i]):
                     yield before + (c,) + after
             else:
-                for total in range(sum(bounds) - len(bounds) + 1):
-                    yield from _box_level(bounds, total)
+                yield from _box_walk(bounds, range(sum(bounds) - len(bounds) + 1))
             return
         n = self.ngens
         start = (0,) * n

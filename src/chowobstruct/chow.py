@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .abelian import _box_level
+from .abelian import _box_walk
 
 
 class AmbientMismatchError(Exception):
@@ -49,14 +49,16 @@ class AmbientSpace:
 
         Ordered by descending lexicographic comparison, so powers of the first
         factor sort first: in P^1 x P^3 degree 2 this is (x1*x2, x2^2).  The
-        vectors are generated in that order, with no candidate out of bounds.
+        vectors are generated in that order, with no candidate out of bounds,
+        by the box walk that AbelianPresentation.elements() runs over every
+        level, here run over the one level `degree`.
         Each degree's basis is generated once per ambient and stored, as a
         presentation stores its normal forms; storing the same tuple twice is
         harmless, so no lock is needed.
         """
         basis = self._bases.get(degree)
         if basis is None:
-            basis = self._bases[degree] = tuple(_box_level([n + 1 for n in self.factor_dims], degree))
+            basis = self._bases[degree] = tuple(_box_walk([n + 1 for n in self.factor_dims], (degree,)))
         return basis
 
     def monomial_str(self, exps: Sequence[int]) -> str:

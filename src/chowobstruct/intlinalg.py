@@ -281,8 +281,14 @@ def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
 
 
 def _gf2_mask(vector: Iterable[int]) -> int:
-    """The vector mod 2 as a bit mask: bit k holds coordinate k."""
-    return sum(1 << k for k, x in enumerate(vector) if x & 1)
+    """The vector mod 2 as a bit mask: bit k holds coordinate k, which may be
+    negative or of any size.  A plain loop: on the short vectors of a sweep it
+    takes about half the time of sum() over a generator."""
+    mask = 0
+    for k, x in enumerate(vector):
+        if x & 1:
+            mask |= 1 << k
+    return mask
 
 
 def _gf2_span(rows: Iterable[Iterable[int]]) -> dict[int, int]:

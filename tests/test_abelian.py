@@ -156,13 +156,19 @@ def test_element_order_with_pivot_gaps_and_zero_rows():
             assert g.element_order(c) == brute, (h, c)
 
 
+def _tensor_mod2(group):
+    """The mod-2 reduction that decide() reports, from the GF(2) span of the
+    group's relations."""
+    return group._mod2_quotient(len(_gf2_span(group.relations.entries)))
+
+
 def test_tensor_mod2():
     g = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
-    assert g.tensor_mod2().invariant_factors() == (2,)
+    assert _tensor_mod2(g).invariant_factors() == (2,)
     free2 = AbelianPresentation(("a", "b"), IntegerMatrix([], cols=2))
-    assert free2.tensor_mod2().invariant_factors() == (2, 2)
+    assert _tensor_mod2(free2).invariant_factors() == (2, 2)
     trivial = AbelianPresentation((), IntegerMatrix([], cols=0))
-    assert trivial.tensor_mod2().invariant_factors() == ()
+    assert _tensor_mod2(trivial).invariant_factors() == ()
 
 
 def _tensor_mod2_inputs():
@@ -190,7 +196,7 @@ def test_tensor_mod2_matches_the_general_path():
     for group in _tensor_mod2_inputs():
         n = group.ngens
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
-        quotient = group.tensor_mod2()
+        quotient = _tensor_mod2(group)
         assert quotient.relations.entries == group.relations.entries + twos
         assert quotient.hnf() == hermite_normal_form(quotient.relations), group
         expected = tuple(d for d in reference_snf_diagonal(quotient.relations.to_lists()) if d != 1)
@@ -199,10 +205,20 @@ def test_tensor_mod2_matches_the_general_path():
         assert general.invariant_factors() == expected
 
 
+def _mask_oracle(v):
+    return int("".join(str(x & 1) for x in reversed(v)) or "0", 2)
+
+
 def test_gf2_reduce_matches_hermite_reduce():
     # XOR reduction against the GF(2) span equals reduction against the
     # Hermite form of the relations stacked on 2*I, on integer vectors of
-    # either sign, and the span's rank gives the count of Z/2 summands
+    # either sign, and the span's rank gives the count of Z/2 summands.
+    # Every mask is read against the bit string of the parities, on the
+    # vectors below too: empty, zero, negative (custom: generators reach the
+    # mask with those) and far wider than a machine word
+    for v in ((), (0,), (0, 0, 0), (-1,), (-2, -3, 5), (10 ** 40 + 1, -(10 ** 40), 0, -7),
+              tuple(range(-40, 40)), (2 ** 64 - 1, -(2 ** 64) - 1, 2 ** 63)):
+        assert _gf2_mask(v) == _mask_oracle(v), v
     rng = random.Random(137)
     for group in _tensor_mod2_inputs():
         n = group.ngens
@@ -212,9 +228,11 @@ def test_gf2_reduce_matches_hermite_reduce():
         span = _gf2_span(rows)
         for _ in range(5):
             v = [rng.choice((0, 1, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6))) for _ in range(n)]
+            assert _gf2_mask(v) == _mask_oracle(v), v
             reduced = _gf2_reduce(span, _gf2_mask(v))
             assert tuple((reduced >> k) & 1 for k in range(n)) == hermite_reduce(h, v), (group, v)
         for row in rows:
+            assert _gf2_mask(row) == _mask_oracle(row), row
             assert not _gf2_reduce(span, _gf2_mask(row)), (group, row)
         general = AbelianPresentation(group.generator_names, IntegerMatrix(rows + twos, cols=n))
         assert n - len(span) == general.invariant_factors().count(2), group
@@ -259,11 +277,13 @@ def _is_diagonal(h: IntegerMatrix) -> bool:
 def test_enumeration_order_matches_forward_bfs_oracle():
     # classify labels and orders its rows by these cosets, so the order is
     # checked against a search that knows nothing of Hermite forms: on boxes,
-    # which take the closed form, and on the P^1 x P^3 degree-2 relations,
-    # whose Hermite form is diagonal only for some degrees
+    # which take the closed form, among them wide two-generator boxes with
+    # many short levels, as CH^1 of P^1 x P^3 has, and on the P^1 x P^3
+    # degree-2 relations, whose Hermite form is diagonal only for some degrees
     rng = random.Random(16)
     boxes = [b for n in range(4) for b in itertools.product(range(1, 5), repeat=n)]
     boxes += [tuple(rng.randint(1, 5) for _ in range(4)) for _ in range(50)]
+    boxes += [(178, 2), (2, 178), (40, 7)]
     relations = [_box(b) for b in boxes]
     relations += [[[d2, 0], [d1, d2]] for d1 in range(1, 7) for d2 in range(1, 7)]
     diagonal = 0
@@ -272,6 +292,16 @@ def test_enumeration_order_matches_forward_bfs_oracle():
         diagonal += _is_diagonal(g.hnf())
         assert list(g.elements()) == forward_bfs_cosets(rows), rows
     assert len(boxes) < diagonal < len(relations)
+
+
+def test_box_enumeration_is_lazy():
+    # a box with a 10^12 bound has too many cosets to list, and its first
+    # ones still come at once, in the search's order: the first five cosets
+    # lie in levels 0 to 2, which a bound of 6 in its place leaves as they are
+    for bounds, small in (((10 ** 12, 2), (6, 2)), ((2, 10 ** 12, 3), (2, 6, 3))):
+        g = AbelianPresentation([f"g{i}" for i in range(len(bounds))], _box(bounds))
+        first = list(itertools.islice(g.elements(), 5))
+        assert first == forward_bfs_cosets(_box(small))[:5], bounds
 
 
 def test_group_laws_random():

@@ -14,7 +14,9 @@ non-ample one were recorded while ``complement_group`` still returned its
 certificate alongside the presentation; the two domain-error entries were
 recorded while ``classify`` still wrote its own output; the last six
 ``obstruct`` entries were recorded while the verdict rule still built a
-degree-3 presentation to read its relation rows.  A refactor that
+degree-3 presentation to read its relation rows; the last four ``classify``
+entries were recorded while a box group's cosets were still listed one
+coordinate-sum level at a time.  A refactor that
 changes any verdict, justification, class string, JSON key order or row order
 changes a hash here.
 
@@ -91,6 +93,10 @@ _BASE_COMMANDS = (
      "--assumption", "nori"),
     ("obstruct", "--ambient", "1,1,1,1", "--degree", "1,1,1,1", "--c1", "-x2", "--c2", "x1*x2 + x3*x4",
      "--assumption", "nori"),
+    # P^1 x P^3 tables whose CH^1 is a wide two-generator box: CH^2 a box
+    # too, then CH^2 through the breadth-first search
+    ("classify", "--ambient", "1,3", "--degree", "178,2", "--assumption", "even-degree"),
+    ("classify", "--ambient", "1,3", "--degree", "40,3", "--assumption", "naive"),
 )
 
 # Every command in text and in --json.
@@ -196,6 +202,10 @@ GOLDEN = (
     (0, "81254584443cd2e1c8858f1102981343440ee4cb94b59afb08de3c7c54701d15"),
     (0, "8087ae103c82a416cdec4ea86689cd78ab22b0d10ccd6429df2e4cd338aa39c6"),
     (0, "e2e283b51ea0b577a5349c96cbbf228f2e6d32e4b4925ba07173ad0efda6c305"),
+    (0, "04801ac9db753b7bf4be73812d9ee46b9298444e2856bd644274931e441f9536"),
+    (0, "120652895a6437af0d8318f69e0c7c4c1c5f68bb75ef6bd08606160477c84b66"),
+    (0, "b2d700eadaf260c266c15678d189375489cba5f79b42590094659237a8e9f83a"),
+    (0, "c416d90594a991da82e6bdcabc76fc9b993de742d8898292419677e50f3c5d47"),
 )
 
 

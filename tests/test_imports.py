@@ -117,7 +117,6 @@ def unread_methods(sources: dict[str, str]) -> list[str]:
 HELD_METHODS = {
     "AbelianPresentation.element_order": "the README example prints it",
     "ChowClass.is_zero": "acceptance criterion 3 calls it",
-    "AbelianPresentation.tensor_mod2": "tests reduce arbitrary presentations mod 2 through it",
 }
 
 

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from chowobstruct import abelian, chow, complement, obstruction
+from chowobstruct import chow, complement, obstruction
 from chowobstruct.abelian import InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, cup, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
-from chowobstruct.intlinalg import _gf2_mask
+from chowobstruct.intlinalg import _gf2_mask, _gf2_span
 from chowobstruct.obstruction import (
     ChernPair,
     DimensionUnsupportedError,
@@ -160,14 +160,14 @@ def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, spans)
     pair = pair_on(P1xP3, "0", "x1*x2")
     with monkeypatch.context() as m:
         m.setattr(obstruction, "_gf2_span", counting_gf2_span)
-        m.setattr(abelian, "_gf2_span", counting_gf2_span)
         m.setattr(obstruction, "complement_group", counting_complement_group)
         report = decide(model, pair, assumption)
     assert len(calls) == spans
     assert len(built) == 1
     # the image still lies in the reduction of the assumption's own group,
-    # with the Smith diagonal tensor_mod2 gives it
-    expected = complement_group(model, 3, assumption).tensor_mod2()
+    # with the Smith diagonal of its mod-2 reduction
+    group = complement_group(model, 3, assumption)
+    expected = group._mod2_quotient(len(_gf2_span(group.relations.entries)))
     assert report.theta_quotient == expected
     assert report.theta_quotient.invariant_factors() == expected.invariant_factors()
 
@@ -576,13 +576,14 @@ def test_each_basis_is_generated_once_per_ambient(monkeypatch, dims):
     # decide() and the sweep's setup up to its first row read the bases of
     # degrees 1, 2 and 3 many times over; the ambient generates each once
     generated = []
-    box_level = chow._box_level
+    box_walk = chow._box_walk
 
-    def counting_box_level(bounds, total):
-        generated.append((tuple(bounds), total))
-        return box_level(bounds, total)
+    def counting_box_walk(bounds, totals):
+        totals = tuple(totals)
+        generated.extend((tuple(bounds), total) for total in totals)
+        return box_walk(bounds, totals)
 
-    monkeypatch.setattr(chow, "_box_level", counting_box_level)
+    monkeypatch.setattr(chow, "_box_walk", counting_box_walk)
     assumptions = [NAIVE, NORI] + ([EVEN] if dims in EVEN_DEGREE_MOD2 else [])
     for assumption in assumptions:
         generated.clear()
