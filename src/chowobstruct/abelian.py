@@ -11,7 +11,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -50,7 +49,8 @@ def _box_walk(bounds: Sequence[int], totals: Iterable[int]) -> Iterator[tuple[in
     coordinate sum in `totals` in turn, the vectors with that sum in
     lexicographically descending order; a sum that no vector has yields
     nothing.  bounds is not empty.  The walk is lazy, so a box with a huge
-    bound yields its first vectors at once."""
+    bound yields its first vectors at once.  AbelianPresentation.elements()
+    walks every sum of a group's box, AmbientSpace.monomial_basis one."""
     if len(bounds) == 1:
         for total in totals:
             if 0 <= total < bounds[0]:
@@ -133,8 +133,8 @@ class AbelianPresentation:
         return tuple(d for d in diag if d != 1) + (0,) * (self.ngens - len(diag))
 
     def is_finite(self) -> bool:
-        """Whether the Hermite form, which elements() builds anyway, has a
-        nonzero row per generator; no Smith form is computed."""
+        """Whether the Hermite form has a nonzero row per generator; no
+        Smith form is computed."""
         return sum(map(any, self.hnf().entries)) == self.ngens
 
     def describe(self) -> str:
@@ -188,78 +188,54 @@ class AbelianPresentation:
         object.__setattr__(out, "_diagonal", (1,) * rank + (2,) * (n - rank))
         return out
 
-    def _box_bounds(self) -> tuple[int, ...] | None:
-        """The pivots (p_0, ..., p_{n-1}) when the first n Hermite rows are
-        diag(p_0, ..., p_{n-1}), else None.  Only called on a finite group,
-        whose Hermite form has a pivot in every column."""
-        rows = self.hnf().entries[: self.ngens]
-        if any(any(row[i + 1:]) for i, row in enumerate(rows)):
-            return None
-        return tuple(row[i] for i, row in enumerate(rows))
-
     def elements(self) -> Iterator[tuple[int, ...]]:
-        """Yield one coordinate tuple per coset, breadth-first from zero.
+        """Yield one coordinate tuple per coset: the vectors of the box
+        prod [0, p_i) by coordinate sum ascending and, within one sum,
+        lexicographically descending.  Raises InfiniteGroupError when a free
+        generator is present.
 
-        Representatives are found by repeatedly adding single generators
-        e_0, e_1, ... in that order, so each coset is named by a smallest
-        nonnegative generator combination, which reads as a label through
-        `generator_names`; the zero coset comes first and the order is
-        deterministic.  Raises InfiniteGroupError when a free generator is
-        present.
+        p_i is generator i's pivot in the Hermite form of the relations with
+        their columns taken from the last generator back; the row of that
+        pivot is zero past i, so reducing from the last generator back puts
+        each coset into the box exactly once, zero first.
 
-        When the Hermite form is diag(p_0, ..., p_{n-1}) the search has a
-        closed form, and the cosets are yielded without one: the vectors of
-        the box prod [0, p_i), by coordinate sum ascending and, within one
-        sum, lexicographically descending.  This is the search's own order:
+        Where each box vector is the unique smallest-sum nonnegative vector
+        of its coset, this is the order of a breadth-first search from zero
+        adding e_0, e_1, ... in turn, with each coset named by the vector
+        that first reaches it: levels are coordinate sums, a coset c is
+        first reached from its lexicographically largest parent c - e_j, j
+        its last nonzero coordinate, and parents in descending order find
+        their children in descending order.  Every group that classify
+        enumerates qualifies: the cyclic groups of P^4, the diagonal CH^1 of
+        P^1 x P^3, and its CH^2 = Z^2 / <(d2, 0), (d1, d2)> with box
+        [0, d2)^2.  A nonzero a*(d2, 0) + b*(d1, d2) keeping a box vector v
+        nonnegative has b >= 0; b = 0 forces a > 0, and b > 0 gives
+        a*d2 + b*d1 >= -v_0 > -d2, so its sum exceeds (b - 1)*d2 >= 0.  Other
+        groups may differ from the search: Z^2 / <(5, 0), (-2, 1)> yields
+        (0, 0), (1, 0), ..., (4, 0).
 
-        * in the box, a step off an edge wraps to a coset with a smaller sum,
-          which the search has already seen; so its levels are coordinate
-          sums, and each coset's representative is its unique box vector;
-        * if the queue holds a level in lexicographically descending order,
-          a coset c is first reached from its lexicographically largest
-          parent c - e_j, where j is c's last nonzero coordinate;
-        * parents in that order, each trying e_0, e_1, ... in turn, discover
-          their children in lexicographically descending order, which is
-          therefore the order of the next level too.
-
-        When at most one bound exceeds 1, every level holds one vector, the
-        zero vector with c in that coordinate, so the box is a plain range
-        of c; with every bound 1 it is the zero vector alone.  Otherwise
-        _box_walk, which also lists AmbientSpace.monomial_basis, yields the
-        box over all its levels in one lazy pass, so the first cosets of a
-        box with a huge bound come at once.
+        With at most one p_i above 1 the box is a plain range or the zero
+        vector; otherwise _box_walk yields it lazily, so a huge bound starts at once.
         """
         if not self.is_finite():
             raise InfiniteGroupError(f"group {self.describe()} is infinite")
-        bounds = self._box_bounds()
-        if bounds is not None:
-            moving = [i for i, p in enumerate(bounds) if p > 1]
-            if len(moving) <= 1:
-                # one coset per level: a plain range is fastest
-                zero = (0,) * len(bounds)
-                if not moving:
-                    yield zero
-                    return
-                i = moving[0]
-                before, after = zero[:i], zero[i + 1:]
-                for c in range(bounds[i]):
-                    yield before + (c,) + after
-            else:
-                yield from _box_walk(bounds, range(sum(bounds) - len(bounds) + 1))
-            return
         n = self.ngens
-        start = (0,) * n
-        seen = {self.canonical_coords(start)}
-        queue = deque([start])
-        while queue:
-            coords = queue.popleft()
-            yield coords
-            for i in range(n):
-                nb = coords[:i] + (coords[i] + 1,) + coords[i + 1:]
-                key = self.canonical_coords(nb)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(nb)
+        reversed_rows = IntegerMatrix._trusted(tuple(row[::-1] for row in self.relations.entries), n)
+        h = hermite_normal_form(reversed_rows).entries
+        bounds = tuple(h[i][i] for i in range(n))[::-1]
+        moving = [i for i, p in enumerate(bounds) if p > 1]
+        if len(moving) > 1:
+            yield from _box_walk(bounds, range(sum(bounds) - n + 1))
+            return
+        # one coset per level: a plain range is fastest
+        zero = (0,) * n
+        if not moving:
+            yield zero
+            return
+        i = moving[0]
+        before, after = zero[:i], zero[i + 1:]
+        for c in range(bounds[i]):
+            yield before + (c,) + after
 
     def __repr__(self) -> str:
         return f"AbelianPresentation({self.generator_names!r}, {self.relations.to_lists()!r})"

@@ -50,8 +50,9 @@ class AmbientSpace:
         Ordered by descending lexicographic comparison, so powers of the first
         factor sort first: in P^1 x P^3 degree 2 this is (x1*x2, x2^2).  The
         vectors are generated in that order, with no candidate out of bounds,
-        by the box walk that AbelianPresentation.elements() runs over every
-        level, here run over the one level `degree`.
+        by the box walk that AbelianPresentation.elements() runs over a
+        group's Hermite box, here run over the exponent box at the one
+        coordinate sum `degree`.
         Each degree's basis is generated once per ambient and stored, as a
         presentation stores its normal forms; storing the same tuple twice is
         harmless, so no lock is needed.

@@ -255,12 +255,14 @@ def test_enumerate_counts():
 
 
 def test_enumerate_smallest_representatives_first():
-    # breadth-first search labels each coset by a smallest nonnegative sum
+    # CH^2 of P^1 x P^3 at degree (3, 4): its box is [0, 4)^2, and each box
+    # vector is the smallest-sum nonnegative vector of its coset
     g = AbelianPresentation(("x1*x2", "x2^2"), [[4, 0], [3, 4]])
     reps = list(g.elements())
     assert reps[0] == (0, 0)
     assert (1, 0) in reps
     assert len(reps) == 16
+    assert set(reps) == set(itertools.product(range(4), repeat=2))
     single = AbelianPresentation(("x",), [[5]])
     assert list(single.elements()) == [(0,), (1,), (2,), (3,), (4,)]
 
@@ -276,22 +278,51 @@ def _is_diagonal(h: IntegerMatrix) -> bool:
 
 def test_enumeration_order_matches_forward_bfs_oracle():
     # classify labels and orders its rows by these cosets, so the order is
-    # checked against a search that knows nothing of Hermite forms: on boxes,
-    # which take the closed form, among them wide two-generator boxes with
-    # many short levels, as CH^1 of P^1 x P^3 has, and on the P^1 x P^3
-    # degree-2 relations, whose Hermite form is diagonal only for some degrees
+    # checked against a search that knows nothing of Hermite forms: on
+    # diagonal relations, among them wide two-generator boxes with many short
+    # levels, as CH^1 of P^1 x P^3 has, and on the P^1 x P^3 degree-2
+    # relations, whose Hermite form is diagonal only for some degrees
     rng = random.Random(16)
     boxes = [b for n in range(4) for b in itertools.product(range(1, 5), repeat=n)]
     boxes += [tuple(rng.randint(1, 5) for _ in range(4)) for _ in range(50)]
     boxes += [(178, 2), (2, 178), (40, 7)]
     relations = [_box(b) for b in boxes]
-    relations += [[[d2, 0], [d1, d2]] for d1 in range(1, 7) for d2 in range(1, 7)]
+    relations += [[[d2, 0], [d1, d2]] for d1 in range(1, 31) for d2 in range(1, 13)]
     diagonal = 0
     for rows in relations:
         g = AbelianPresentation([f"g{i}" for i in range(len(rows))], IntegerMatrix(rows, cols=len(rows)))
         diagonal += _is_diagonal(g.hnf())
         assert list(g.elements()) == forward_bfs_cosets(rows), rows
     assert len(boxes) < diagonal < len(relations)
+
+
+def _reversed_hermite_box(rows, n):
+    h = hermite_normal_form(IntegerMatrix([row[::-1] for row in rows], cols=n)).entries
+    bounds = [h[n - 1 - i][n - 1 - i] for i in range(n)]
+    return sorted(itertools.product(*map(range, bounds)), key=lambda v: (sum(v), [-x for x in v]))
+
+
+def test_enumeration_is_the_reversed_hermite_box():
+    # off the groups classify enumerates, the box and the search part ways:
+    # here (0, 1) = (2, 0), which the box names by the vector of larger sum
+    g = AbelianPresentation(("x", "y"), [[5, 0], [-2, 1]])
+    assert list(g.elements()) == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    rng = random.Random(32)
+    cases = [[[5, 0], [-2, 1]]]
+    while len(cases) < 60:
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(n, n + 1))]
+        g = AbelianPresentation([f"g{i}" for i in range(n)], rows)
+        if g.is_finite() and not _is_diagonal(g.hnf()) and math.prod(g.invariant_factors()) <= 400:
+            cases.append(rows)
+    for rows in cases:
+        n = len(rows[0])
+        g = AbelianPresentation([f"g{i}" for i in range(n)], rows)
+        cosets = list(g.elements())
+        # each coset exactly once
+        assert len(cosets) == math.prod(g.invariant_factors()), rows
+        assert len({g.canonical_coords(c) for c in cosets}) == len(cosets), rows
+        assert cosets == _reversed_hermite_box(rows, n), rows
 
 
 def test_box_enumeration_is_lazy():

@@ -233,6 +233,24 @@ def test_sweep_runs_no_smith_elimination(monkeypatch):
         assert calls == [], (dims, degrees, assumption)
 
 
+def test_sweep_reduces_no_coset(monkeypatch):
+    # every enumerated group is a box read off one Hermite form, so no coset
+    # is reduced against the relations, not even on the P^1 x P^3 degree-2
+    # groups whose Hermite form is not diagonal
+    calls = []
+    hermite_reduce = abelian.hermite_reduce
+
+    def counting_hermite_reduce(h, vector):
+        calls.append(vector)
+        return hermite_reduce(h, vector)
+
+    monkeypatch.setattr(abelian, "hermite_reduce", counting_hermite_reduce)
+    for dims, degrees, assumption in SWEEPS:
+        if dims == (1, 3):
+            classify_all(ComplementModel(AmbientSpace(dims), degrees), ASSUMPTIONS[assumption])
+            assert calls == [], (dims, degrees, assumption)
+
+
 class HashingSink:
     def __init__(self):
         self.digest = hashlib.sha256()
