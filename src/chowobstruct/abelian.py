@@ -3,9 +3,11 @@
 A presentation is the quotient Z^n / L where L is the row lattice of the
 relation matrix.  Elements are coordinate vectors in generator coordinates;
 two vectors represent the same element exactly when their difference lies in
-L.  Canonical per-coset representatives come from reduction against the
-Hermite form of L, which makes equality, hashing and zero-tests cheap and
-deterministic.
+L.  Each presentation stores one Hermite form of L, with its columns taken
+from the last generator back (the box form).  Reduction against it gives the
+canonical per-coset representative, which makes equality, hashing and
+zero-tests cheap and deterministic; on a finite group it is the vector
+elements() yields for the coset.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ class AbelianPresentation:
     def ngens(self) -> int:
         return len(self.generator_names)
 
-    def hnf(self) -> IntegerMatrix:
-        if self._hnf is None:
-            object.__setattr__(self, "_hnf", hermite_normal_form(self.relations))
-        return self._hnf
-
     def invariant_factors(self) -> tuple[int, ...]:
         """Diagonal of the relation SNF with 1s dropped and a 0 per free generator.
 
@@ -132,10 +129,20 @@ class AbelianPresentation:
         diag = self._diagonal
         return tuple(d for d in diag if d != 1) + (0,) * (self.ngens - len(diag))
 
+    def _box_form(self) -> IntegerMatrix:
+        """The Hermite form of the relations with their columns taken from
+        the last generator back, stored on first use: row i of a finite
+        group's form has its pivot at reversed column i, generator n-1-i."""
+        if self._hnf is None:
+            n = self.ngens
+            reversed_rows = IntegerMatrix._trusted(tuple(row[::-1] for row in self.relations.entries), n)
+            object.__setattr__(self, "_hnf", hermite_normal_form(reversed_rows))
+        return self._hnf
+
     def is_finite(self) -> bool:
-        """Whether the Hermite form has a nonzero row per generator; no
-        Smith form is computed."""
-        return sum(map(any, self.hnf().entries)) == self.ngens
+        """Whether the box form has a nonzero row per generator; no Smith
+        form is computed."""
+        return sum(map(any, self._box_form().entries)) == self.ngens
 
     def describe(self) -> str:
         """Invariant factors as a direct-sum string, e.g. 'Z/3 ⊕ Z/4' or 'Z/2 ⊕ Z'."""
@@ -145,23 +152,29 @@ class AbelianPresentation:
         return " ⊕ ".join("Z" if f == 0 else f"Z/{f}" for f in factors)
 
     def canonical_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return hermite_reduce(self.hnf(), coords)
+        """coords reduced against the box form from the last generator back,
+        so each coordinate with a pivot lies in [0, pivot).  Two vectors give
+        the same result exactly when they name the same element, and on a
+        finite group the result is the box vector that elements() yields for
+        that element, the label of its classify row."""
+        return hermite_reduce(self._box_form(), coords[::-1])[::-1]
 
     def element_order(self, coords: Sequence[int]) -> int:
         """Least k >= 1 with k*coords = 0, or 0 if the element has infinite order.
 
-        Walks the Hermite basis of the relations: a pivot p meeting residual
-        coordinate w multiplies the order by p/gcd(p, w), and a coordinate that
-        no pivot clears means infinite order.  Pivots move strictly right, so
-        each row's pivot search resumes past the last one.
+        Walks the box form with coords reversed to match its columns: a
+        pivot p meeting residual coordinate w multiplies the order by
+        p/gcd(p, w), and a coordinate that no pivot clears means infinite
+        order.  Pivots move strictly right in reversed coordinates, so each
+        row's pivot search resumes past the last one.
         """
         if len(coords) != self.ngens:
             raise ValueError(f"coordinate length {len(coords)} != {self.ngens} generators")
-        w = list(coords)
+        w = list(coords[::-1])
         n = len(w)
         result = 1
         pj = 0
-        for row in self.hnf().entries:
+        for row in self._box_form().entries:
             while pj < n and not row[pj]:
                 pj += 1
             if pj == n:
@@ -194,10 +207,11 @@ class AbelianPresentation:
         lexicographically descending.  Raises InfiniteGroupError when a free
         generator is present.
 
-        p_i is generator i's pivot in the Hermite form of the relations with
-        their columns taken from the last generator back; the row of that
-        pivot is zero past i, so reducing from the last generator back puts
-        each coset into the box exactly once, zero first.
+        p_i is generator i's pivot in the box form, the Hermite form of the
+        relations with their columns taken from the last generator back; the
+        row of that pivot is zero past i, so reducing from the last generator
+        back puts each coset into the box exactly once, zero first, and
+        canonical_coords fixes every box vector.
 
         Where each box vector is the unique smallest-sum nonnegative vector
         of its coset, this is the order of a breadth-first search from zero
@@ -220,8 +234,7 @@ class AbelianPresentation:
         if not self.is_finite():
             raise InfiniteGroupError(f"group {self.describe()} is infinite")
         n = self.ngens
-        reversed_rows = IntegerMatrix._trusted(tuple(row[::-1] for row in self.relations.entries), n)
-        h = hermite_normal_form(reversed_rows).entries
+        h = self._box_form().entries
         bounds = tuple(h[i][i] for i in range(n))[::-1]
         moving = [i for i, p in enumerate(bounds) if p > 1]
         if len(moving) > 1:

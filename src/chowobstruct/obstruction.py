@@ -65,8 +65,13 @@ class ChernPair:
 
 @dataclass(frozen=True, eq=False)
 class ObstructionReport:
-    """theta on the ambient, and its canonical coordinates in the assumption's
-    degree-3 mod-2 quotient."""
+    """theta on the ambient; theta_image, theta reduced modulo the GF(2) span
+    of the assumption's degree-3 relation rows (_gf2_span), with a 0 at each
+    of the span's pivots, their lowest set bits; and theta_quotient, the
+    assumption's degree-3 mod-2 quotient.  theta_image is theta reduced
+    against the Hermite form of those rows stacked on 2*I in column order,
+    not theta_quotient.canonical_coords, which reduces from the last
+    generator back."""
 
     theta_on_y: ChowClass
     theta_image: tuple[int, ...]

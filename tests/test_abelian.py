@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from chowobstruct import abelian
 from chowobstruct.abelian import (
     AbelianPresentation,
     InfiniteGroupError,
@@ -22,6 +23,7 @@ from chowobstruct.intlinalg import (
     hermite_normal_form,
     hermite_reduce,
 )
+from chowobstruct.obstruction import classify_all
 
 from oracles import (
     bfs_cosets,
@@ -198,11 +200,15 @@ def test_tensor_mod2_matches_the_general_path():
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
         quotient = _tensor_mod2(group)
         assert quotient.relations.entries == group.relations.entries + twos
-        assert quotient.hnf() == hermite_normal_form(quotient.relations), group
+        general = AbelianPresentation(quotient.generator_names, quotient.relations)
+        # the quotient stores its box form the way any presentation does, and
+        # its box holds as many cosets as its written-down diagonal says
+        assert quotient.is_finite() and general.is_finite()
+        assert quotient._hnf == general._hnf, group
         expected = tuple(d for d in reference_snf_diagonal(quotient.relations.to_lists()) if d != 1)
         assert quotient.invariant_factors() == expected, group
-        general = AbelianPresentation(quotient.generator_names, quotient.relations)
         assert general.invariant_factors() == expected
+        assert len(list(quotient.elements())) == math.prod(expected), group
 
 
 def _mask_oracle(v):
@@ -291,7 +297,7 @@ def test_enumeration_order_matches_forward_bfs_oracle():
     diagonal = 0
     for rows in relations:
         g = AbelianPresentation([f"g{i}" for i in range(len(rows))], IntegerMatrix(rows, cols=len(rows)))
-        diagonal += _is_diagonal(g.hnf())
+        diagonal += _is_diagonal(hermite_normal_form(g.relations))
         assert list(g.elements()) == forward_bfs_cosets(rows), rows
     assert len(boxes) < diagonal < len(relations)
 
@@ -313,7 +319,7 @@ def test_enumeration_is_the_reversed_hermite_box():
         n = rng.randint(2, 4)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(n, n + 1))]
         g = AbelianPresentation([f"g{i}" for i in range(n)], rows)
-        if g.is_finite() and not _is_diagonal(g.hnf()) and math.prod(g.invariant_factors()) <= 400:
+        if g.is_finite() and not _is_diagonal(hermite_normal_form(g.relations)) and math.prod(g.invariant_factors()) <= 400:
             cases.append(rows)
     for rows in cases:
         n = len(rows[0])
@@ -323,6 +329,54 @@ def test_enumeration_is_the_reversed_hermite_box():
         assert len(cosets) == math.prod(g.invariant_factors()), rows
         assert len({g.canonical_coords(c) for c in cosets}) == len(cosets), rows
         assert cosets == _reversed_hermite_box(rows, n), rows
+
+
+def _label_grid():
+    """The CH^1 and CH^2 groups that classify enumerates on P^4 with
+    d = 1..12 and on P^1 x P^3 with d_i = 1..6."""
+    naive = PushforwardAssumption.naive()
+    models = [ComplementModel(AmbientSpace((4,)), (d,)) for d in range(1, 13)]
+    models += [ComplementModel(AmbientSpace((1, 3)), d) for d in itertools.product(range(1, 7), repeat=2)]
+    for model in models:
+        for j in (1, 2):
+            yield model, complement_group(model, j, naive)
+
+
+def test_canonical_coords_is_the_label_elements_gives():
+    # a class is found among the classify rows by its canonical coordinates:
+    # each enumerated coset is its own canonical form, and so is any
+    # representative of it, the coset vector plus a lattice vector
+    rng = random.Random(33)
+    labels = 0
+    for model, g in _label_grid():
+        rows = g.relations.entries
+        for c in g.elements():
+            assert g.canonical_coords(c) == c, (model, c)
+            multiples = [rng.randint(-3, 3) for _ in rows]
+            shift = [sum(k * row[i] for k, row in zip(multiples, rows)) for i in range(g.ngens)]
+            assert g.canonical_coords([a + b for a, b in zip(c, shift)]) == c, (model, c, shift)
+            labels += 1
+    assert labels == 1143
+
+
+def test_each_presentation_builds_one_hermite_form(monkeypatch):
+    calls = []
+
+    def counting_hermite_normal_form(a):
+        calls.append(a)
+        return hermite_normal_form(a)
+
+    monkeypatch.setattr(abelian, "hermite_normal_form", counting_hermite_normal_form)
+    g = AbelianPresentation(("x1*x2", "x2^2"), [[4, 0], [3, 4]])
+    assert g.is_finite()
+    assert len(list(g.elements())) == 16
+    assert g.canonical_coords((5, 9)) == g.canonical_coords((3, 1))
+    assert g.element_order((1, 0)) == 4
+    assert len(calls) == 1
+    # a classify sweep builds the CH^1 and CH^2 groups, one form each
+    calls.clear()
+    classify_all(ComplementModel(AmbientSpace((1, 3)), (3, 4)), PushforwardAssumption.naive())
+    assert len(calls) == 2
 
 
 def test_box_enumeration_is_lazy():
@@ -397,9 +451,9 @@ def test_cokernel_invariants_match_bfs_enumeration():
 def test_element_equality_and_hash():
     g = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
     assert g.canonical_coords((4, 5)) == g.canonical_coords((1, 1))
-    # the cached Hermite form and Smith diagonal take no part in equality
+    # the stored box form and Smith diagonal take no part in equality
     fresh = AbelianPresentation(("x", "y"), [[3, 0], [0, 4]])
-    g.hnf()
+    g.is_finite()
     g.invariant_factors()
     assert fresh._hnf is None and fresh._diagonal is None
     assert g._hnf is not None and g._diagonal is not None
@@ -450,7 +504,7 @@ def test_value_types_are_frozen(value, names):
 
 
 def _stored_forms(g: AbelianPresentation) -> AbelianPresentation:
-    g.hnf()
+    g.is_finite()
     g.invariant_factors()
     return g
 

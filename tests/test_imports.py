@@ -115,7 +115,7 @@ def unread_methods(sources: dict[str, str]) -> list[str]:
 # Public methods of exported classes that no code in the package reads, with
 # what holds each in place.
 HELD_METHODS = {
-    "AbelianPresentation.canonical_coords": "the per-coset canonical form that the abelian module docstring promises",
+    "AbelianPresentation.canonical_coords": "how a library user finds a class among the classify rows: it gives the coordinates a row is labelled with",
     "AbelianPresentation.element_order": "the README example prints it",
     "ChowClass.is_zero": "acceptance criterion 3 calls it",
 }

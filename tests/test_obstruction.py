@@ -8,7 +8,7 @@ from chowobstruct import chow, complement, obstruction
 from chowobstruct.abelian import InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, class_str, cup, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
-from chowobstruct.intlinalg import _gf2_mask, _gf2_span
+from chowobstruct.intlinalg import IntegerMatrix, _gf2_mask, _gf2_span, hermite_normal_form, hermite_reduce
 from chowobstruct.obstruction import (
     ChernPair,
     DimensionUnsupportedError,
@@ -252,6 +252,12 @@ def test_sq2_descends_on_models():
         for degrees in itertools.product(range(1, 4), repeat=len(dims)):
             model = ComplementModel(ambient, degrees)
             assert sq2_descends(model), (dims, degrees)
+            # the reported theta image is theta reduced against the
+            # column-order Hermite form of the degree-3 rows stacked on 2*I
+            rows = complement_group(model, 3, NAIVE).relations.to_lists()
+            n = len(ambient.monomial_basis(3))
+            twos = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+            h = hermite_normal_form(IntegerMatrix(rows + twos, cols=n))
             # the c1 side: theta moves by z*c2, so lifting c1 by a multiple of z changes nothing
             z = model.z_class.coords()
             for _ in range(4):
@@ -265,6 +271,7 @@ def test_sq2_descends_on_models():
                 report = decide(model, ChernPair(ChowClass.from_coords(ambient, 1, lift), c2), NAIVE)
                 assert report.verdict == base.verdict, (dims, degrees, c1, k)
                 assert report.theta_image == base.theta_image
+                assert report.theta_image == hermite_reduce(h, report.theta_on_y.coords()), (dims, degrees, c1)
 
 
 def test_dimension_guard():
