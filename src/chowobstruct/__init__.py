@@ -7,7 +7,6 @@ from .chow import (
     AmbientMismatchError,
     AmbientSpace,
     ChowClass,
-    class_str,
     cup,
     parse_class,
     reduce_mod2,
@@ -71,7 +70,6 @@ __all__ = [
     "Verdict",
     "bezout",
     "certificate",
-    "class_str",
     "classify_all",
     "closed_form_check",
     "complement_group",

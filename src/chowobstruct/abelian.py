@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .intlinalg import (
     IntegerMatrix,
+    _pivot_rows,
     hermite_normal_form,
     hermite_reduce,
     smith_diagonal,
@@ -165,26 +166,18 @@ class AbelianPresentation:
         Walks the box form with coords reversed to match its columns: a
         pivot p meeting residual coordinate w multiplies the order by
         p/gcd(p, w), and a coordinate that no pivot clears means infinite
-        order.  Pivots move strictly right in reversed coordinates, so each
-        row's pivot search resumes past the last one.
+        order.
         """
         if len(coords) != self.ngens:
             raise ValueError(f"coordinate length {len(coords)} != {self.ngens} generators")
         w = list(coords[::-1])
-        n = len(w)
         result = 1
-        pj = 0
-        for row in self._box_form().entries:
-            while pj < n and not row[pj]:
-                pj += 1
-            if pj == n:
-                break
+        for pj, row in _pivot_rows(self._box_form()):
             p = row[pj]
             k = p // math.gcd(p, w[pj])
             q = k * w[pj] // p
             w = [k * x - q * y for x, y in zip(w, row)]
             result *= k
-            pj += 1
         return 0 if any(w) else result
 
     def _mod2_quotient(self, rank: int) -> "AbelianPresentation":

@@ -159,10 +159,10 @@ class ChowClass:
         return ChowClass._trusted(self.ambient, self.degree, out)
 
     def __str__(self) -> str:
-        return class_str(self)
+        return _terms_str((self.ambient.monomial_str(exps), coeff) for exps, coeff in self.items())
 
     def __repr__(self) -> str:
-        return f"ChowClass({self.ambient}, deg {self.degree}, {class_str(self)})"
+        return f"ChowClass({self.ambient}, deg {self.degree}, {self})"
 
 
 def cup(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -275,10 +275,6 @@ def parse_class(ambient: AmbientSpace, text: str, degree: int | None = None) -> 
     elif degrees_seen and degrees_seen != {degree}:
         raise ValueError(f"class {text!r} has degree {sorted(degrees_seen)}, expected {degree}")
     return ChowClass._trusted(ambient, _check_degree(degree), coeffs)
-
-
-def class_str(c: ChowClass) -> str:
-    return _terms_str((c.ambient.monomial_str(exps), coeff) for exps, coeff in c.items())
 
 
 def _terms_str(terms: Iterable[tuple[str, int]]) -> str:

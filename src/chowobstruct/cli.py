@@ -40,7 +40,6 @@ from .chow import (
     AmbientMismatchError,
     AmbientSpace,
     ChowClass,
-    class_str,
     cup,
     parse_class,
 )
@@ -226,14 +225,6 @@ def _group_json(group: AbelianPresentation) -> dict:
     }
 
 
-def _element_json(coords: tuple[int, ...], group: AbelianPresentation) -> dict:
-    return {
-        "coords": coords,
-        "group": group.describe(),
-        "is_zero": not any(coords),
-    }
-
-
 def _cmd_snf(args) -> dict | str:
     mat = _parse_matrix_literal(args.matrix)
     dec = smith_normal_form(mat)
@@ -269,8 +260,8 @@ def _cmd_group(args) -> dict | str:
 
 def _class_result(args, result: ChowClass) -> dict | str:
     if args.json:
-        return {"degree": result.degree, "result": class_str(result)}
-    return class_str(result)
+        return {"degree": result.degree, "result": str(result)}
+    return str(result)
 
 
 def _cmd_cup(args) -> dict | str:
@@ -328,11 +319,15 @@ def _cmd_obstruct(args) -> dict | str:
         return {
             "ambient": ",".join(map(str, model.ambient.factor_dims)),
             "degree": ",".join(map(str, model.multidegree)),
-            "c1": class_str(pair.c1),
-            "c2": class_str(pair.c2),
+            "c1": str(pair.c1),
+            "c2": str(pair.c2),
             "assumption": assumption.label(),
-            "theta": class_str(report.theta_on_y),
-            "theta_image": _element_json(report.theta_image, report.theta_quotient),
+            "theta": str(report.theta_on_y),
+            "theta_image": {
+                "coords": report.theta_image,
+                "group": report.theta_quotient.describe(),
+                "is_zero": not any(report.theta_image),
+            },
             "verdict": report.verdict.value,
             "certificates": [
                 report.justification["certificates"]["naive"],
@@ -344,7 +339,7 @@ def _cmd_obstruct(args) -> dict | str:
     return "\n".join(
         [
             f"verdict: {report.verdict.value}",
-            f"theta on ambient: {class_str(report.theta_on_y)}",
+            f"theta on ambient: {report.theta_on_y}",
             f"theta image: {report.theta_image} in {report.theta_quotient.describe()}",
             f"assumption: {jst['assumption']} ({jst['direction']})",
             f"basis: {jst['verdict_basis']}",

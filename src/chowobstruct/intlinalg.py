@@ -11,7 +11,7 @@ only in the Smith transforms u and v.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -265,19 +265,27 @@ def hermite_reduce(h: IntegerMatrix, vector: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"vector length {len(vector)} != matrix columns {h.cols}")
     w = [int(x) for x in vector]
     n = len(w)
-    # pivots move strictly right, so each row's scan resumes past the last one
+    for pj, row in _pivot_rows(h):
+        q = w[pj] // row[pj]
+        if q:
+            for k in range(pj, n):
+                w[k] -= q * row[k]
+    return tuple(w)
+
+
+def _pivot_rows(h: IntegerMatrix) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each nonzero row of a Hermite-form matrix, top down, with its pivot
+    column.  Pivots move strictly right, so each row's scan resumes past the
+    last one, and the first zero row ends the walk."""
+    n = h.cols
     pj = 0
     for row in h.entries:
         while pj < n and not row[pj]:
             pj += 1
         if pj == n:
-            break
-        q = w[pj] // row[pj]
-        if q:
-            for k in range(pj, n):
-                w[k] -= q * row[k]
+            return
+        yield pj, row
         pj += 1
-    return tuple(w)
 
 
 def _gf2_mask(vector: Iterable[int]) -> int:

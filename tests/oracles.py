@@ -8,6 +8,8 @@ evidence rather than a tautology.  The two exceptions are frozen copies of
 the package's earlier eliminations: reference_smith_normal_form pins the exact
 u, s and v the rewritten Smith elimination must reproduce, and
 reference_hermite_normal_form the Hermite form its xgcd loop built.
+wilson_diagonal is not a computation at all but a closed form from the
+literature.
 """
 
 from __future__ import annotations
@@ -307,6 +309,47 @@ def mod2_span_contains(generators: list[list[int]], rows: list[list[int]]) -> bo
         if v:
             pivots[v.bit_length() - 1] = v
     return not any(reduce(sum(1 << i for i, x in enumerate(r) if x % 2)) for r in rows)
+
+
+def wilson_diagonal(n: int, j: int) -> tuple[list[int], int]:
+    """The nonzero diagonal and the free rank of Z^C(n,j) modulo the rows of
+    the inclusion matrix of (j-1)-subsets in j-subsets of an n-set.
+
+    R. M. Wilson, A diagonal form for the incidence matrices of t-subsets vs.
+    k-subsets, Europ. J. Combin. 11 (1990) 609-615: the entries are j - i,
+    each C(n, i) - C(n, i-1) times, for i = 0..j-1, and the free rank is
+    C(n, j) - C(n, j-1), whenever j - 1 <= n - j.  On (P^1)^n with every
+    d_i = 1 this is the degree-j relation matrix of the complement.
+    """
+    if not 1 <= j or j - 1 > n - j:
+        raise ValueError(f"the diagonal form needs 1 <= j and j - 1 <= n - j, got n={n}, j={j}")
+
+    def binom(k: int) -> int:
+        return math.comb(n, k) if k >= 0 else 0
+
+    diagonal = [j - i for i in range(j) for _ in range(binom(i) - binom(i - 1))]
+    return diagonal, binom(j) - binom(j - 1)
+
+
+def prime_powers(factors: list[int]) -> list[int]:
+    """The prime-power parts of the nonzero factors, sorted, by trial
+    division: two diagonal forms present the same finite group exactly when
+    these lists agree."""
+    out = []
+    for f in factors:
+        f = abs(f)
+        p = 2
+        while f > 1:
+            if p * p > f:
+                p = f
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
 
 
 # GF(2) classes on P^{n_1} x ... x P^{n_k}: sets of exponent tuples, each

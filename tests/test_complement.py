@@ -18,7 +18,7 @@ from chowobstruct.complement import (
 )
 from chowobstruct.intlinalg import _gf2_span
 
-from oracles import mod2_span_contains
+from oracles import mod2_span_contains, prime_powers, wilson_diagonal
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -140,6 +140,41 @@ def test_closed_form_sweep_small():
     for d1 in range(1, 7):
         for d2 in range(1, 7):
             assert closed_form_check(d1, d2).ok
+
+
+def test_closed_form_xi_tau_image_has_the_order_of_x1x2():
+    # the reported image, read in Z/g + Z/(d2^2/g), has the order that the
+    # computed degree-2 group gives x1*x2
+    x1x2 = parse_class(P1xP3, "x1*x2").coords()
+    for d1 in range(1, 13):
+        for d2 in range(1, 13):
+            report = closed_form_check(d1, d2)
+            a, b = report.xi_tau_image
+            g, big = report.g, d2 * d2 // report.g
+            order = math.lcm(g // math.gcd(g, a), big // math.gcd(big, b))
+            group = complement_group(ComplementModel(P1xP3, (d1, d2)), 2, NAIVE)
+            assert group.element_order(x1x2) == order, (d1, d2)
+
+
+def test_wilson_diagonal_and_projective_space_closed_forms():
+    # (P^1)^n with every d_i = 1: the degree-j relation matrix is the
+    # inclusion matrix of (j-1)-subsets in j-subsets, whose diagonal form
+    # Wilson gives in closed form.  (10, 5) is left out: its elimination
+    # takes about 95 s until the Smith elimination keeps its entries small.
+    cases = [(n, j) for n in range(2, 11) for j in range(2, n + 1) if j - 1 <= n - j]
+    cases.remove((10, 5))
+    assert len(cases) == 19
+    for n, j in cases:
+        factors = complement_group(ComplementModel(AmbientSpace((1,) * n), (1,) * n), j, NAIVE).invariant_factors()
+        diagonal, free_rank = wilson_diagonal(n, j)
+        assert prime_powers([f for f in factors if f]) == prime_powers(diagonal), (n, j)
+        assert factors.count(0) == free_rank, (n, j)
+    # on P^n the hyperplane class generates every degree, so each quotient is Z/d
+    for n in range(1, 7):
+        for d in range(1, 13):
+            model = ComplementModel(AmbientSpace((n,)), (d,))
+            for j in range(1, n + 1):
+                assert complement_group(model, j, NAIVE).invariant_factors() == ((d,) if d > 1 else ()), (n, d, j)
 
 
 def test_p4_family_quotients():

@@ -6,7 +6,7 @@ import pytest
 
 from chowobstruct import chow, complement, obstruction
 from chowobstruct.abelian import InfiniteGroupError
-from chowobstruct.chow import AmbientSpace, ChowClass, class_str, cup, parse_class, reduce_mod2
+from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.intlinalg import IntegerMatrix, _gf2_mask, _gf2_span, hermite_normal_form, hermite_reduce
 from chowobstruct.obstruction import (
@@ -327,15 +327,15 @@ def test_classify_infinite_group_guard():
 
 
 def test_classify_row_order():
-    # every label is the class_str of its coset's lift, the reference rendering
+    # every label is the str() of its coset's lift, the reference rendering
     for dims, degrees, assumption in SWEEPS:
         ambient = AmbientSpace(dims)
         model = ComplementModel(ambient, degrees)
         rows = classify_all(model, ASSUMPTIONS[assumption])
         g1 = complement_group(model, 1, NAIVE)
         g2 = complement_group(model, 2, NAIVE)
-        labels1 = [class_str(ChowClass.from_coords(ambient, 1, c)) for c in g1.elements()]
-        labels2 = [class_str(ChowClass.from_coords(ambient, 2, c)) for c in g2.elements()]
+        labels1 = [str(ChowClass.from_coords(ambient, 1, c)) for c in g1.elements()]
+        labels2 = [str(ChowClass.from_coords(ambient, 2, c)) for c in g2.elements()]
         assert [(r.c1, r.c2) for r in rows] == [(a, b) for a in labels1 for b in labels2], (
             dims, degrees, assumption)
         assert (rows[0].c1, rows[0].c2) == ("0", "0")
