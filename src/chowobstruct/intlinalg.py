@@ -290,8 +290,9 @@ def _pivot_rows(h: IntegerMatrix) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 def _gf2_mask(vector: Iterable[int]) -> int:
     """The vector mod 2 as a bit mask: bit k holds coordinate k, which may be
-    negative or of any size.  A plain loop: on the short vectors of a sweep it
-    takes about half the time of sum() over a generator."""
+    negative or of any size.  _gf2_span, and decide, sq2_descends and the
+    parity table in obstruction, call it; classify's sweep builds its masks
+    alongside its labels instead."""
     mask = 0
     for k, x in enumerate(vector):
         if x & 1:

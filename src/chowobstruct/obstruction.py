@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .abelian import AbelianPresentation, InfiniteGroupError
-from .chow import AmbientMismatchError, ChowClass, _divisor_columns, _terms_str, cup, reduce_mod2
+from .chow import AmbientMismatchError, ChowClass, _divisor_columns, cup, reduce_mod2
 from .complement import ComplementModel, Direction, PushforwardAssumption, _relation_rows, certificate, complement_group
 from .intlinalg import _gf2_mask, _gf2_reduce, _gf2_span
 from .steenrod import sq2
@@ -280,11 +280,13 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     CLI.  render runs once per parity of c1, and every coset of that parity
     yields its result.
 
-    Labels are written from coset coordinates and generator names, and each
-    verdict is read from _parity_verdicts at their masks, so no lift, theta
-    class, report or verdict prose is built.  The groups of degrees 1 and 2,
-    the finite-group guard, the dimension guard, the table and the CH^2
-    labels and masks come first, at the first next().
+    Each coset's label and parity mask come from one pass over its box
+    vector in _labelled, which both groups go through, and each verdict is
+    read from _parity_verdicts at the two masks, so no lift, theta class,
+    report or verdict prose is built.  The groups of degrees 1 and 2, the
+    finite-group guard, the dimension guard, the table and the CH^2 labels
+    and masks come first, at the first next(); the CH^1 cosets are walked
+    lazily.
     """
     naive = PushforwardAssumption.naive()
     g1 = complement_group(model, 1, naive)
@@ -295,12 +297,31 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
         )
     _check_total_dim(model)
     table = _parity_verdicts(model, assumption)
-    cosets2 = list(g2.elements())
-    labels2 = [_terms_str(zip(g2.generator_names, coords)) for coords in cosets2]
-    masks2 = [_gf2_mask(coords) for coords in cosets2]
+    labels2, masks2 = zip(*_labelled(g2))
     columns = {}
-    for coords1 in g1.elements():
-        mask1 = _gf2_mask(coords1)
+    for label1, mask1 in _labelled(g1):
         if mask1 not in columns:
             columns[mask1] = render(zip(labels2, [table[mask1][mask2] for mask2 in masks2]))
-        yield _terms_str(zip(g1.generator_names, coords1)), columns[mask1]
+        yield label1, columns[mask1]
+
+
+def _labelled(group: AbelianPresentation):
+    """Generate (label, mask) for each coset of a finite group, in elements()
+    order, from one pass over its box vector: the label names the coset as a
+    class literal from the generator names, and the mask is the vector's
+    _gf2_mask.
+
+    Box coordinates are never negative and no generator is named "1", as no
+    degree-1 or degree-2 monomial is, so on these vectors the label is what
+    _terms_str gives for the (name, coordinate) terms.
+    """
+    names = group.generator_names
+    for coords in group.elements():
+        parts = []
+        mask = 0
+        for k, c in enumerate(coords):
+            if c:
+                parts.append(names[k] if c == 1 else f"{c}*{names[k]}")
+                if c & 1:
+                    mask |= 1 << k
+        yield " + ".join(parts) or "0", mask

@@ -21,10 +21,11 @@ from pathlib import Path
 import pytest
 
 from chowobstruct import abelian, obstruction
-from chowobstruct.abelian import InfiniteGroupError
-from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class
+from chowobstruct.abelian import AbelianPresentation, InfiniteGroupError
+from chowobstruct.chow import AmbientSpace, ChowClass, _terms_str, cup, parse_class
 from chowobstruct.cli import dump_json, main
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
+from chowobstruct.intlinalg import _gf2_mask
 from chowobstruct.obstruction import classify_all
 
 from oracles import gf2_parse, theta_verdict
@@ -249,6 +250,33 @@ def test_sweep_reduces_no_coset(monkeypatch):
         if dims == (1, 3):
             classify_all(ComplementModel(AmbientSpace(dims), degrees), ASSUMPTIONS[assumption])
             assert calls == [], (dims, degrees, assumption)
+
+
+def _two_pass(group):
+    """Each coset's label and mask from the printer of signed classes and the
+    mod-2 mask, one pass each."""
+    names = group.generator_names
+    return [(_terms_str(zip(names, coords)), _gf2_mask(coords)) for coords in group.elements()]
+
+
+# finite groups the CLI never enumerates: bounds (12, 1, 3, 10) with a bound
+# of 1 between moving generators, a non-diagonal Hermite form with bounds
+# (11, 2, 10), and a Z/25 whose second generator is fixed
+HAND_BUILT = (
+    AbelianPresentation(("a*b", "c^2", "d", "e^3*f"), [[12, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 10]]),
+    AbelianPresentation(("x^2*y", "z", "w^3"), [[11, 0, 0], [3, 2, 0], [1, 5, 10]]),
+    AbelianPresentation(("u", "v^4"), [[1, 7], [0, 25]]),
+)
+
+
+def test_labelled_matches_the_two_pass_labels_and_masks():
+    groups = [
+        complement_group(ComplementModel(AmbientSpace(dims), degrees), j, NAIVE)
+        for dims, degrees in sorted({(dims, degrees) for dims, degrees, _ in SWEEPS})
+        for j in (1, 2)
+    ]
+    for group in groups + list(HAND_BUILT):
+        assert list(obstruction._labelled(group)) == _two_pass(group), group
 
 
 class HashingSink:

@@ -14,9 +14,11 @@ non-ample one were recorded while ``complement_group`` still returned its
 certificate alongside the presentation; the two domain-error entries were
 recorded while ``classify`` still wrote its own output; the last six
 ``obstruct`` entries were recorded while the verdict rule still built a
-degree-3 presentation to read its relation rows; the last four ``classify``
-entries were recorded while a box group's cosets were still listed one
-coordinate-sum level at a time.  A refactor that
+degree-3 presentation to read its relation rows; the four ``classify``
+entries of the wide P^1 x P^3 boxes were recorded while a box group's cosets
+were still listed one coordinate-sum level at a time; the last six, of label
+shapes, while the sweep still built each coset's label and parity mask in
+two passes.  A refactor that
 changes any verdict, justification, class string, JSON key order or row order
 changes a hash here.
 
@@ -97,6 +99,11 @@ _BASE_COMMANDS = (
     # too, then CH^2 through the breadth-first search
     ("classify", "--ambient", "1,3", "--degree", "178,2", "--assumption", "even-degree"),
     ("classify", "--ambient", "1,3", "--degree", "40,3", "--assumption", "naive"),
+    # label shapes: three-digit coefficients on P^4, two-digit x1 coefficients
+    # beside a 2 on x2, and one-row chunks over 300 CH^1 cosets
+    ("classify", "--ambient", "4", "--degree", "120", "--assumption", "even-degree"),
+    ("classify", "--ambient", "1,3", "--degree", "13,3", "--assumption", "naive"),
+    ("classify", "--ambient", "1,3", "--degree", "300,1", "--assumption", "even-degree"),
 )
 
 # Every command in text and in --json.
@@ -206,6 +213,12 @@ GOLDEN = (
     (0, "120652895a6437af0d8318f69e0c7c4c1c5f68bb75ef6bd08606160477c84b66"),
     (0, "b2d700eadaf260c266c15678d189375489cba5f79b42590094659237a8e9f83a"),
     (0, "c416d90594a991da82e6bdcabc76fc9b993de742d8898292419677e50f3c5d47"),
+    (0, "5e3407dec1dcfaa83e0eff08d8868063429e42085a687ef28e025c7cb1f13c45"),
+    (0, "c0bf00e0ebdd570fed59d5c17865575d92f98e4bcc50a0b0c97607e72c687f6c"),
+    (0, "b75a5a4a60383473754599a9c900fb8bba7facec3657b21f13534eebac7d9a43"),
+    (0, "6edf532cbe3810b29d4bc21bea8a518f4a68fe9ef3a14264b6c04240ebe9ad54"),
+    (0, "985fc48eb0ee5581d0223bac3b9414c7e49318ab47ff3da522e410e0a23fbcf9"),
+    (0, "6bf1672f961db6b39649acabe1cda0ab266a875f89a9c1e5ba9c83e6665e33ac"),
 )
 
 
