@@ -421,6 +421,11 @@ def theta_verdict(
     is how the assumption's subgroup sits against the pushforward image:
     'contained_in_image', 'contains_image' or 'equals_image'.
     """
+    return _verdict_of(dims, multidegree, gf2_theta(dims, c1, c2), direction, assumption_rows)
+
+
+def _verdict_of(dims, multidegree, theta: set, direction: str, assumption_rows: list[set] | None) -> str:
+    """theta_verdict on the degree-3 class theta itself."""
     k = len(dims)
     monomials = list(product(*(range(n + 1) for n in dims)))
     degree3 = [e for e in monomials if sum(e) == 3]
@@ -428,7 +433,6 @@ def theta_verdict(
     def vector(a: set) -> list[int]:
         return [int(e in a) for e in degree3]
 
-    theta = gf2_theta(dims, c1, c2)
     z = {tuple(int(j == i) for j in range(k)) for i, d in enumerate(multidegree) if d % 2}
     naive_rows = [vector(gf2_mul(z, {m}, dims)) for m in monomials if sum(m) == 2]
     naive_zero = mod2_span_contains(naive_rows, [vector(theta)])
@@ -441,3 +445,46 @@ def theta_verdict(
     if naive_zero or (direction != "contains_image" and assumption_zero):
         return "ALGEBRAIZABLE"
     return "UNDETERMINED"
+
+
+# The even-degree generators 2*x1*x2^2, x2^3 on P^1 x P^3 and 2*x1^3 on P^4,
+# read mod 2: the doubled ones vanish, x2^3 stays.
+EVEN_DEGREE_MOD2 = {(1, 3): [{(0, 3)}], (4,): []}
+
+# The ambients of total dimension 4, where verdicts are issued.
+DIM4_AMBIENTS = ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1))
+
+
+def verdict_atlas() -> dict[tuple[str, tuple[int, ...], tuple[int, ...]], list[list[str]]]:
+    """Every verdict of the three built-in assumptions on every ambient of
+    total dimension 4, as one table per (assumption, dims, multidegree mod 2).
+
+    Mod 2 the hypersurface class is z = sum of (d_i mod 2)*x_i, so the naive
+    and nori rows z*m depend on the multidegree only through its parities;
+    the even-degree rows, the total square and the products do not depend on
+    it at all.  So one table per parity class covers every multidegree: 34
+    classes each under naive and nori, 6 under even-degree.  table[m1][m2]
+    is the verdict at the pair whose c1 has the degree-1 monomials of the set
+    bits of m1 and whose c2 those of m2, in descending lexicographic order of
+    exponent vectors.  The verdict rule runs once per distinct theta.
+    """
+    atlas = {}
+    for dims in DIM4_AMBIENTS:
+        monomials = list(product(*(range(n + 1) for n in dims)))
+        basis1, basis2 = (sorted((e for e in monomials if sum(e) == j), reverse=True) for j in (1, 2))
+
+        def subset(basis, mask):
+            return {e for i, e in enumerate(basis) if mask >> i & 1}
+
+        thetas = [[frozenset(gf2_theta(dims, subset(basis1, m1), subset(basis2, m2)))
+                   for m2 in range(1 << len(basis2))] for m1 in range(1 << len(basis1))]
+        assumptions = [("naive", "contained_in_image", None), ("nori", "equals_image", None)]
+        if dims in EVEN_DEGREE_MOD2:
+            assumptions.append(("even-degree", "contains_image", EVEN_DEGREE_MOD2[dims]))
+        for parities in product((0, 1), repeat=len(dims)):
+            for name, direction, rows in assumptions:
+                verdicts = {}
+                for theta in {theta for row in thetas for theta in row}:
+                    verdicts[theta] = _verdict_of(dims, parities, theta, direction, rows)
+                atlas[name, dims, parities] = [[verdicts[theta] for theta in row] for row in thetas]
+    return atlas

@@ -28,7 +28,7 @@ from chowobstruct.complement import ComplementModel, PushforwardAssumption, comp
 from chowobstruct.intlinalg import _gf2_mask
 from chowobstruct.obstruction import classify_all
 
-from oracles import gf2_parse, theta_verdict
+from oracles import EVEN_DEGREE_MOD2, gf2_parse, theta_verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 NAIVE = PushforwardAssumption.naive()
@@ -93,11 +93,6 @@ def test_stream_matches_the_whole_table(monkeypatch):
             if not as_json:
                 # the header goes out with the first coset's rows
                 assert writes[0].count("\n") == 1 + cosets2
-
-
-# The even-degree generators of the declared table, read mod 2:
-# 2*x1*x2^2 and 2*x1^3 vanish, x2^3 stays.
-EVEN_DEGREE_MOD2 = {(1, 3): [{(0, 3)}], (4,): []}
 
 
 def test_every_row_matches_the_theta_oracle(monkeypatch):

@@ -378,6 +378,38 @@ def test_custom_assumption_classify_is_pinned(tmp_path, capsys, spec, argv, expe
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--ambient", "1,3", "--degree", "3,4", "--j", "2"),
+         "assumption 'even-degree' does not apply to degree 2 of P^1 x P^3"),
+        (("--ambient", "2,2", "--degree", "2,3", "--j", "3"),
+         "assumption 'even-degree' does not apply to degree 3 of P^2 x P^2"),
+    ],
+    ids=["P1xP3-j2", "P2xP2-j3"],
+)
+def test_inapplicable_even_degree_message_is_pinned(capsys, argv, message):
+    # the text of the error, as a line on stderr and as the --json record
+    argv = ("complement", *argv, "--assumption", "even-degree")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert out == dump_json({"error": {"message": message, "type": "InapplicableAssumptionError"}})
+
+
+def test_custom_assumption_obstruct_json_is_pinned(tmp_path, capsys):
+    # the assumption's label, custom[...], appears in the report, its
+    # justification and the verdict basis; sha256 of stdout
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(
+        {"ambient": "1,3", "degree": 3, "direction": "contains_image", "generators": ["2*x1*x2^2", "x2^3"]}))
+    code, out, err = run_cli(capsys, "obstruct", "--ambient", "1,3", "--degree", "3,4", "--c1", "0",
+                             "--c2", "x1*x2", "--assumption", f"custom:{path}", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["justification"]["assumption"] == "custom[2*x1*x2^2, x2^3]"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "7b9a554ec2131fb271796b261dbe70a882f1e10292b7e8622737b9f97540a51a"
+
+
 CUSTOM_SPEC = {"ambient": "1,3", "degree": 3, "direction": "contains_image", "generators": ["x2^3"]}
 
 

@@ -329,6 +329,48 @@ _APPLICABILITY = {
     ("mismatch", (1, 1, 2)): "-C -C -C -C -C -C",
     ("mismatch", (1, 1, 1, 1)): "-C -C -C -C -C -C",
 }
+# The same table on one multidegree per ambient with a zero component, so
+# that the hypersurface class is not ample and no certificate is EXACT:
+# naive is UPPER_BOUND_ONLY and nori ASSUMED_EXACT in every degree, and each
+# certificate carries the note.
+_NON_AMPLE_MODELS = {(4,): (0,), (1, 3): (0, 4), (2, 2): (2, 0), (1, 1, 2): (1, 0, 3), (1, 1, 1, 1): (1, 1, 0, 1)}
+_NON_AMPLE_APPLICABILITY = {
+    ("naive", (4,)): "U U U U U U",
+    ("naive", (1, 3)): "U U U U U U",
+    ("naive", (2, 2)): "U U U U U U",
+    ("naive", (1, 1, 2)): "U U U U U U",
+    ("naive", (1, 1, 1, 1)): "U U U U U U",
+    ("nori", (4,)): "A A A A A A",
+    ("nori", (1, 3)): "A A A A A A",
+    ("nori", (2, 2)): "A A A A A A",
+    ("nori", (1, 1, 2)): "A A A A A A",
+    ("nori", (1, 1, 1, 1)): "A A A A A A",
+    ("even-degree", (4,)): "-C -C -C C -C -C",
+    ("even-degree", (1, 3)): "-C -C -C C -C -C",
+    ("even-degree", (2, 2)): "-C -C -C -C -C -C",
+    ("even-degree", (1, 1, 2)): "-C -C -C -C -C -C",
+    ("even-degree", (1, 1, 1, 1)): "-C -C -C -C -C -C",
+    ("contains", (4,)): "-C -C -C C -C -C",
+    ("contains", (1, 3)): "-C -C -C C -C -C",
+    ("contains", (2, 2)): "-C -C -C C -C -C",
+    ("contains", (1, 1, 2)): "-C -C -C C -C -C",
+    ("contains", (1, 1, 1, 1)): "-C -C -C C -C -C",
+    ("contained", (4,)): "-U -U -U U -U -U",
+    ("contained", (1, 3)): "-U -U -U U -U -U",
+    ("contained", (2, 2)): "-U -U -U U -U -U",
+    ("contained", (1, 1, 2)): "-U -U -U U -U -U",
+    ("contained", (1, 1, 1, 1)): "-U -U -U U -U -U",
+    ("empty", (4,)): "-C -C -C C -C -C",
+    ("empty", (1, 3)): "-C -C -C C -C -C",
+    ("empty", (2, 2)): "-C -C -C C -C -C",
+    ("empty", (1, 1, 2)): "-C -C -C C -C -C",
+    ("empty", (1, 1, 1, 1)): "-C -C -C C -C -C",
+    ("mismatch", (4,)): "-C -C -C -C -C -C",
+    ("mismatch", (1, 3)): "-C -C -C -C -C -C",
+    ("mismatch", (2, 2)): "-C -C -C -C -C -C",
+    ("mismatch", (1, 1, 2)): "-C -C -C -C -C -C",
+    ("mismatch", (1, 1, 1, 1)): "-C -C -C -C -C -C",
+}
 _STATUS_TOKENS = {Status.EXACT: "E", Status.UPPER_BOUND_ONLY: "U", Status.ASSUMED_EXACT: "A", Status.ASSUMED_CONTAINS: "C"}
 
 
@@ -348,9 +390,9 @@ def _dim4_assumptions(ambient):
     }
 
 
-def test_applicability_and_certificate_table():
+def _applicability(models):
     got = {}
-    for dims, degrees in _DIM4_MODELS.items():
+    for dims, degrees in models.items():
         model = ComplementModel(AmbientSpace(dims), degrees)
         for name, assumption in _dim4_assumptions(model.ambient).items():
             tokens = []
@@ -360,13 +402,23 @@ def test_applicability_and_certificate_table():
                     mark = ""
                 except InapplicableAssumptionError:
                     mark = "-"
-                tokens.append(mark + _STATUS_TOKENS[certificate(model, j, assumption).status])
+                cert = certificate(model, j, assumption)
+                assert bool(cert.note) != model.is_ample, (name, dims, j)
+                tokens.append(mark + _STATUS_TOKENS[cert.status])
             got[name, dims] = " ".join(tokens)
             if name == "empty":
                 # no relations in degree 3: the free group on the degree-3 monomials
                 group = complement_group(model, 3, assumption)
                 assert group.invariant_factors() == (0,) * len(model.ambient.monomial_basis(3))
-    assert got == _APPLICABILITY
+    return got
+
+
+def test_applicability_and_certificate_table():
+    assert _applicability(_DIM4_MODELS) == _APPLICABILITY
+
+
+def test_applicability_and_certificate_table_off_the_ample_case():
+    assert _applicability(_NON_AMPLE_MODELS) == _NON_AMPLE_APPLICABILITY
 
 
 # degrees swept per ambient, and for each containing assumption the number of

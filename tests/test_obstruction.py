@@ -19,7 +19,7 @@ from chowobstruct.obstruction import (
     theta,
 )
 
-from oracles import gf2_theta, theta_verdict
+from oracles import gf2_theta, theta_verdict, verdict_atlas
 from test_classify_stream import EVEN_DEGREE_MOD2, SWEEPS
 
 P1xP3 = AmbientSpace((1, 3))
@@ -500,6 +500,21 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
                 assert verdict.value == oracle[th], (dims, degrees, name, p1, p2)
 
 
+def test_verdict_atlas_covers_every_multidegree():
+    # the 74 parity-class tables of the oracle, each against the package's
+    # table at two multidegrees of its class: every d_i 1 or 2, and every
+    # d_i above 10^6, where the relation rows hold entries near 10^6
+    atlas = verdict_atlas()
+    assert len(atlas) == 74
+    for (name, dims, parities), expected in atlas.items():
+        small = tuple(2 - p for p in parities)
+        large = tuple(10**6 + 2 * (i + 1) + p for i, p in enumerate(parities))
+        for degrees in (small, large):
+            model = ComplementModel(AmbientSpace(dims), degrees)
+            table = obstruction._parity_verdicts(model, ASSUMPTIONS[name])
+            assert [[v.value for v in row] for row in table] == expected, (name, dims, degrees)
+
+
 # Twisting a rank-2 bundle by a line bundle L, or dualizing it, keeps it
 # algebraic or not.  Its Chern classes move to (c1 + 2l, c2 + c1*l + l^2) and to
 # (-c1, c2) (Fulton, Intersection Theory, Example 3.2.2), so verdicts must not.
@@ -628,7 +643,7 @@ LIFTS = ("c1 + z", "c1 + relation", "c2 + relation")
 # adds z*c2 to theta, which that subgroup does not kill.  Item 1 of the ROADMAP
 # would make those counts 0.  On (P^1)^4 and P^1 x P^1 x P^2 a degree-1
 # relation row d_i*x_i flips naive and nori verdicts too: for two factors or
-# more it is not zero in CH^1 of the complement, which is item 4 of the
+# more it is not zero in CH^1 of the complement, which is item 2 of the
 # ROADMAP.  Every count not listed is 0.
 _FLIPS = {
     **{("even-degree", (4,), lift): 6 for lift in LIFTS},
