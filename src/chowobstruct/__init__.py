@@ -12,7 +12,6 @@ from .chow import (
     reduce_mod2,
 )
 from .complement import (
-    AssumptionKind,
     ClosedFormReport,
     ComplementModel,
     Direction,
@@ -51,7 +50,6 @@ __all__ = [
     "AbelianPresentation",
     "AmbientMismatchError",
     "AmbientSpace",
-    "AssumptionKind",
     "ChernPair",
     "ChowClass",
     "ClassifyRow",

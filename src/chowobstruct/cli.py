@@ -191,7 +191,7 @@ def _parse_assumption(text: str, ambient: AmbientSpace) -> PushforwardAssumption
             raise InapplicableAssumptionError(f"assumption file {path} is for {file_ambient}, not {ambient}")
         degree = int(payload["degree"])
         gens = tuple(parse_class(ambient, g, degree=degree) for g in payload["generators"])
-        return PushforwardAssumption.custom(gens, Direction(payload["direction"]), degree)
+        return PushforwardAssumption.custom(ambient, gens, Direction(payload["direction"]), degree)
     raise ValueError(f"unknown assumption {text!r}; use {'|'.join([*ASSUMPTIONS, 'custom:<file>'])}")
 
 

@@ -4,23 +4,24 @@ For an ambient product of projective spaces Y and a hypersurface Z of
 multidegree (d_1, ..., d_k), the open complement X = Y \\ Z has
 CH^j(X) = CH^j(Y) / im(pushforward from Z).  The pushforward image is not
 directly computable from the multidegree, so each quotient is taken against a
-declared subgroup S_j together with an explicit containment direction:
+declared subgroup S_j, given by its generator rows, together with the
+direction in which S_j sits against the image:
 
-* the divisor-multiple subgroup (kind 'naive') is generated by
-  z * (degree j-1 monomials) and always sits INSIDE the pushforward image, by
-  the projection formula, so its quotient surjects onto CH^j(X): vanishing
-  there certifies vanishing in CH^j(X);
-* an 'even-degree' subgroup is asserted to CONTAIN the pushforward image, so
-  CH^j(X) surjects onto its quotient (a witness quotient): nonvanishing there
-  certifies nonvanishing in CH^j(X);
-* 'nori' asserts the divisor-multiple subgroup IS the image;
-* custom subgroups carry their own direction flag and the caller vouches for
-  them.
+* with no rows declared, S_j is the divisor multiples z * CH^{j-1}(Y), in
+  every degree.  By the projection formula they lie INSIDE the pushforward
+  image, so the quotient surjects onto CH^j(X): vanishing there certifies
+  vanishing in CH^j(X).  An assumption may also declare them EQUAL to the
+  image, as 'nori' does;
+* otherwise the rows are declared in one degree, on the ambients they are
+  written for, and the subgroup is asserted either to CONTAIN the image, so
+  that CH^j(X) surjects onto the quotient (a witness quotient): nonvanishing
+  there certifies nonvanishing in CH^j(X), as for 'even-degree'; or to lie
+  inside it.  The caller vouches for the direction.
 
 certificate() gives each quotient an ExactnessCertificate recording how much is
-actually known about it.  EXACT is only issued in degrees <= 2 over an ambient
-of total dimension >= 4 with an ample hypersurface class, where the quotient
-provably equals CH^j(X).
+actually known about it.  EXACT is only issued for the divisor multiples, in
+degrees <= 2 over an ambient of total dimension >= 4 with an ample
+hypersurface class, where the quotient provably equals CH^j(X).
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class InapplicableAssumptionError(Exception):
     """Raised when an assumption is requested for a degree or ambient it does not cover."""
 
 
-class AssumptionKind(str, Enum):
-    NAIVE_DIVISOR = "naive"
-    EVEN_DEGREE = "even-degree"
-    NORI_EXACT = "nori"
-    CUSTOM = "custom"
-
-
 class Direction(str, Enum):
     CONTAINED_IN_IMAGE = "contained_in_image"
     CONTAINS_IMAGE = "contains_image"
@@ -64,62 +58,63 @@ class Status(str, Enum):
 
 
 # The two certified even-degree instances: degree-3 subgroups asserted to
-# contain the pushforward image, keyed by ambient factor dimensions.
-_EVEN_DEGREE_GENERATORS: dict[tuple[int, ...], tuple[str, ...]] = {
-    (1, 3): ("2*x1*x2^2", "x2^3"),
-    (4,): ("2*x1^3",),
-}
-# the same generators in the degree-3 monomial basis, parsed once
-_EVEN_DEGREE_ROWS: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
-    dims: tuple(parse_class(AmbientSpace(dims), g).coords() for g in gens)
-    for dims, gens in _EVEN_DEGREE_GENERATORS.items()
-}
+# contain the pushforward image, as (ambient factor dimensions, generator
+# rows) pairs, the generators read into the degree-3 basis once, at import.
+_EVEN_DEGREE_ROWS = tuple(
+    (dims, tuple(parse_class(AmbientSpace(dims), g).coords() for g in generators))
+    for dims, generators in (((1, 3), ("2*x1*x2^2", "x2^3")), ((4,), ("2*x1^3",)))
+)
 
 
 @dataclass(frozen=True)
 class PushforwardAssumption:
-    """A declared subgroup of CH^j(Y) with its containment direction."""
+    """A declared subgroup of CH^j(Y) with its containment direction.
 
-    kind: AssumptionKind
+    rows is None for the divisor multiples, in every degree.  Otherwise the
+    subgroup lives in the one degree `degree`, and rows holds its generators
+    in that degree's monomial basis as (factor dims, rows) pairs, one per
+    ambient it is declared on.
+    """
+
+    name: str
     direction: Direction
-    applicable_degree: int | None = None
-    custom_generators: tuple[ChowClass, ...] = ()
+    degree: int | None = None
+    rows: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...] | None = None
 
     @staticmethod
     def naive() -> "PushforwardAssumption":
-        return PushforwardAssumption(AssumptionKind.NAIVE_DIVISOR, Direction.CONTAINED_IN_IMAGE)
+        return PushforwardAssumption("naive", Direction.CONTAINED_IN_IMAGE)
 
     @staticmethod
     def even_degree() -> "PushforwardAssumption":
-        return PushforwardAssumption(AssumptionKind.EVEN_DEGREE, Direction.CONTAINS_IMAGE, 3)
+        return PushforwardAssumption("even-degree", Direction.CONTAINS_IMAGE, 3, _EVEN_DEGREE_ROWS)
 
     @staticmethod
     def nori() -> "PushforwardAssumption":
-        return PushforwardAssumption(AssumptionKind.NORI_EXACT, Direction.EQUALS_IMAGE)
+        return PushforwardAssumption("nori", Direction.EQUALS_IMAGE)
 
     @staticmethod
     def custom(
+        ambient: AmbientSpace,
         generators: tuple[ChowClass, ...] | list[ChowClass],
         direction: Direction | str,
         degree: int,
     ) -> "PushforwardAssumption":
+        """The span of the generators in CH^degree of `ambient`, which applies
+        nowhere if a generator lies in another degree or ambient."""
         direction = Direction(direction)
         if direction == Direction.EQUALS_IMAGE:
             raise ValueError("custom subgroups declare contains_image or contained_in_image")
-        return PushforwardAssumption(
-            AssumptionKind.CUSTOM, direction, int(degree), tuple(generators)
-        )
-
-    @property
-    def presents_divisor_multiples(self) -> bool:
-        """naive and nori quotient by the same divisor-multiple subgroup in every degree."""
-        return self.kind in (AssumptionKind.NAIVE_DIVISOR, AssumptionKind.NORI_EXACT)
+        degree = int(degree)
+        generators = tuple(generators)
+        rows = ()
+        if all(g.ambient == ambient and g.degree == degree for g in generators):
+            rows = ((ambient.factor_dims, tuple(g.coords() for g in generators)),)
+        name = f"custom[{', '.join(str(g) for g in generators)}]"
+        return PushforwardAssumption(name, direction, degree, rows)
 
     def label(self) -> str:
-        if self.kind == AssumptionKind.CUSTOM:
-            gens = ", ".join(str(g) for g in self.custom_generators)
-            return f"custom[{gens}]"
-        return self.kind.value
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -170,25 +165,23 @@ def _relation_rows(model: ComplementModel, j: int, assumption: PushforwardAssump
     """The assumption's subgroup generators in the degree-j basis, as read by
     complement_group and the verdict rule; raises where it does not apply.
 
-    naive and nori take the divisor-multiple subgroup.  In degree 1 the
-    quotient is presented with one relation d_i * x_i per factor, so that
+    With no rows declared this is the divisor-multiple subgroup.  In degree 1
+    the quotient is presented with one relation d_i * x_i per factor, so that
     CH^1 splits as the direct sum of Z/d_i with x_i generating the i-th
     summand; in every other degree the generators are z * (each degree j-1
     basis monomial), the coordinate tuples of _divisor_columns, taken
-    directly as relation rows, and degree 0 has none.
+    directly as relation rows, and degree 0 has none.  Declared rows apply in
+    their one degree, on the ambients they are declared for.
     """
-    if assumption.presents_divisor_multiples:
+    if assumption.rows is None:
         if j == 1:
             k = model.ambient.k
             return tuple(tuple(model.multidegree[i] * int(c == i) for c in range(k)) for i in range(k))
         return _divisor_columns(model.ambient, model.z_class, j)
-    if j == assumption.applicable_degree:
-        if assumption.kind == AssumptionKind.EVEN_DEGREE:
-            rows = _EVEN_DEGREE_ROWS.get(model.ambient.factor_dims)
-            if rows is not None:
+    if j == assumption.degree:
+        for dims, rows in assumption.rows:
+            if dims == model.ambient.factor_dims:
                 return rows
-        elif all(g.ambient == model.ambient and g.degree == j for g in assumption.custom_generators):
-            return tuple(g.coords() for g in assumption.custom_generators)
     raise InapplicableAssumptionError(
         f"assumption {assumption.label()!r} does not apply to degree {j} of {model.ambient}"
     )
@@ -198,12 +191,12 @@ def certificate(model: ComplementModel, j: int, assumption: PushforwardAssumptio
     """How the degree-j quotient by the assumption's subgroup relates to CH^j(X)."""
     provably_exact = j <= 2 and model.ambient.total_dim >= 4 and model.is_ample
     note = "" if model.is_ample else "hypersurface class is not ample; closed-form guarantees are void"
-    if assumption.kind == AssumptionKind.NAIVE_DIVISOR:
-        status = Status.EXACT if provably_exact else Status.UPPER_BOUND_ONLY
-    elif assumption.kind == AssumptionKind.NORI_EXACT:
-        status = Status.EXACT if provably_exact else Status.ASSUMED_EXACT
-    elif assumption.direction == Direction.CONTAINS_IMAGE:
+    if assumption.direction == Direction.CONTAINS_IMAGE:
         status = Status.ASSUMED_CONTAINS
+    elif assumption.rows is None and provably_exact:
+        status = Status.EXACT
+    elif assumption.direction == Direction.EQUALS_IMAGE:
+        status = Status.ASSUMED_EXACT
     else:
         status = Status.UPPER_BOUND_ONLY
     # EXACT needs an ample class, so it never carries the note

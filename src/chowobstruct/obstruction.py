@@ -178,14 +178,15 @@ def _verdict_rule(model: ComplementModel, assumption: PushforwardAssumption, ass
     theta is read modulo degree-3 GF(2) spans that do not depend on the pair,
     built from relation rows with no group: the assumption's, from assm_rows,
     its degree-3 rows, and the divisor-multiple one, which is the same span
-    under naive and nori and otherwise comes from the naive rows.  Returns
-    the rank of the assumption's span, which sizes decide()'s reported mod-2
-    quotient, and a function from theta's _gf2_mask to (verdict, naive_zero,
-    theta's mask reduced modulo the assumption's span), which reduces theta
-    once per distinct span.  Callers check that the model has total dimension 4.
+    when the assumption declares no rows and otherwise comes from the naive
+    rows.  Returns the rank of the assumption's span, which sizes decide()'s
+    reported mod-2 quotient, and a function from theta's _gf2_mask to
+    (verdict, naive_zero, theta's mask reduced modulo the assumption's span),
+    which reduces theta once per distinct span.  Callers check that the
+    model has total dimension 4.
     """
     assm_span = _gf2_span(assm_rows)
-    if assumption.presents_divisor_multiples:
+    if assumption.rows is None:
         naive_span = assm_span
     else:
         naive_span = _gf2_span(_relation_rows(model, 3, PushforwardAssumption.naive()))
@@ -220,6 +221,9 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
     c1.  One subset doubling over the _divisor_columns of the x_i gives
     those images for every c1 mask, and one over the images gives theta of
     every c2 mask.  Callers check that the model has total dimension 4.
+
+    The table depends on the multidegree d only mod 2: mod 2, z is the sum
+    of (d_i mod 2)*x_i, and declared rows, Sq^2 and cup do not involve d.
     """
     ambient = model.ambient
     squares = [_gf2_mask(sq2(ChowClass._trusted(ambient, 2, {e: 1})).coords()) for e in ambient.monomial_basis(2)]

@@ -478,13 +478,12 @@ def verdict_atlas() -> dict[tuple[str, tuple[int, ...], tuple[int, ...]], list[l
 
         thetas = [[frozenset(gf2_theta(dims, subset(basis1, m1), subset(basis2, m2)))
                    for m2 in range(1 << len(basis2))] for m1 in range(1 << len(basis1))]
+        distinct = {theta for row in thetas for theta in row}
         assumptions = [("naive", "contained_in_image", None), ("nori", "equals_image", None)]
         if dims in EVEN_DEGREE_MOD2:
             assumptions.append(("even-degree", "contains_image", EVEN_DEGREE_MOD2[dims]))
         for parities in product((0, 1), repeat=len(dims)):
             for name, direction, rows in assumptions:
-                verdicts = {}
-                for theta in {theta for row in thetas for theta in row}:
-                    verdicts[theta] = _verdict_of(dims, parities, theta, direction, rows)
+                verdicts = {theta: _verdict_of(dims, parities, theta, direction, rows) for theta in distinct}
                 atlas[name, dims, parities] = [[verdicts[theta] for theta in row] for row in thetas]
     return atlas

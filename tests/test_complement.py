@@ -198,7 +198,7 @@ def test_monotonicity_of_quotients():
         bigger_rows = [
             ChowClass.from_coords(P1xP3, j, row) for row in naive_group.relations.entries
         ] + [extra]
-        custom = PushforwardAssumption.custom(bigger_rows, Direction.CONTAINS_IMAGE, j)
+        custom = PushforwardAssumption.custom(P1xP3, bigger_rows, Direction.CONTAINS_IMAGE, j)
         big_group = complement_group(model, j, custom)
         for _ in range(30):
             coords = tuple(rng.randint(-6, 6) for _ in basis)
@@ -247,23 +247,24 @@ def test_even_degree_preset_p4():
 def test_even_degree_rows_are_read_without_parsing(monkeypatch):
     # the even-degree generators are constant literals, read into the
     # degree-3 basis once, at import; a call parses none of them
+    generators = {(1, 3): ("2*x1*x2^2", "x2^3"), (4,): ("2*x1^3",)}
     parsed = []
     with monkeypatch.context() as m:
         m.setattr(complement, "parse_class", lambda *args: parsed.append(args))
         rows = {
             dims: complement._relation_rows(ComplementModel(AmbientSpace(dims), (2,) * len(dims)), 3, EVEN)
-            for dims in complement._EVEN_DEGREE_GENERATORS
+            for dims, _ in EVEN.rows
         }
     assert parsed == []
-    assert set(rows) == {(1, 3), (4,)}
-    for dims, gens in complement._EVEN_DEGREE_GENERATORS.items():
+    assert set(rows) == set(generators)
+    for dims, gens in generators.items():
         assert rows[dims] == tuple(parse_class(AmbientSpace(dims), g).coords() for g in gens), dims
 
 
 def test_custom_assumption_directions():
     gens = (parse_class(P1xP3, "2*x1*x2^2"),)
-    contains = PushforwardAssumption.custom(gens, "contains_image", 3)
-    contained = PushforwardAssumption.custom(gens, "contained_in_image", 3)
+    contains = PushforwardAssumption.custom(P1xP3, gens, "contains_image", 3)
+    contained = PushforwardAssumption.custom(P1xP3, gens, "contained_in_image", 3)
     cert_a = certificate(model34(), 3, contains)
     cert_b = certificate(model34(), 3, contained)
     assert cert_a.status == Status.ASSUMED_CONTAINS
@@ -271,7 +272,7 @@ def test_custom_assumption_directions():
     with pytest.raises(InapplicableAssumptionError):
         complement_group(model34(), 2, contains)
     with pytest.raises(ValueError, match="^custom subgroups declare contains_image or contained_in_image$"):
-        PushforwardAssumption.custom(gens, "equals_image", 3)
+        PushforwardAssumption.custom(P1xP3, gens, "equals_image", 3)
 
 
 def test_naive_degree1_matches_componentwise_closed_form():
@@ -383,10 +384,10 @@ def _dim4_assumptions(ambient):
         "naive": NAIVE,
         "nori": NORI,
         "even-degree": EVEN,
-        "contains": PushforwardAssumption.custom(gens, Direction.CONTAINS_IMAGE, 3),
-        "contained": PushforwardAssumption.custom(gens, Direction.CONTAINED_IN_IMAGE, 3),
-        "empty": PushforwardAssumption.custom((), Direction.CONTAINS_IMAGE, 3),
-        "mismatch": PushforwardAssumption.custom(gens, Direction.CONTAINS_IMAGE, 2),
+        "contains": PushforwardAssumption.custom(ambient, gens, Direction.CONTAINS_IMAGE, 3),
+        "contained": PushforwardAssumption.custom(ambient, gens, Direction.CONTAINED_IN_IMAGE, 3),
+        "empty": PushforwardAssumption.custom(ambient, (), Direction.CONTAINS_IMAGE, 3),
+        "mismatch": PushforwardAssumption.custom(ambient, gens, Direction.CONTAINS_IMAGE, 2),
     }
 
 
@@ -449,7 +450,7 @@ def _containing_assumptions(ambient):
     for gens in files.get(ambient.factor_dims, ()):
         classes = [parse_class(ambient, g) for g in gens]
         found["file " + ", ".join(gens)] = PushforwardAssumption.custom(
-            classes, Direction.CONTAINS_IMAGE, classes[0].degree)
+            ambient, classes, Direction.CONTAINS_IMAGE, classes[0].degree)
     return found
 
 

@@ -19,8 +19,8 @@ from chowobstruct.obstruction import (
     theta,
 )
 
-from oracles import gf2_theta, theta_verdict, verdict_atlas
-from test_classify_stream import EVEN_DEGREE_MOD2, SWEEPS
+from oracles import EVEN_DEGREE_MOD2, gf2_theta, theta_verdict, verdict_atlas
+from test_classify_stream import SWEEPS
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -127,7 +127,7 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     naive_rows = complement_group(model, 3, NAIVE).relations.entries
     gens = tuple(ChowClass.from_coords(P1xP3, 3, row) for row in naive_rows)
     gens = gens + (parse_class(P1xP3, "x2^3"),)
-    custom = PushforwardAssumption.custom(gens, "contained_in_image", 3)
+    custom = PushforwardAssumption.custom(P1xP3, gens, "contained_in_image", 3)
     pair = pair_on(P1xP3, "x2", "x2^2")  # theta = x2^3
     assert theta(pair) == parse_class(P1xP3, "x2^3")
     undecided = decide(model, pair, NAIVE)
@@ -480,7 +480,7 @@ def test_parity_table_matches_decide_and_the_theta_oracle(dims):
     for direction, texts in _TABLE_CUSTOM.get(dims, {}).items():
         gens = [parse_class(ambient, text) for text in texts]
         rows = [{e for e, c in zip(ambient.monomial_basis(3), g.coords()) if c % 2} for g in gens]
-        assumptions.append((direction, PushforwardAssumption.custom(gens, direction, 3), rows))
+        assumptions.append((direction, PushforwardAssumption.custom(ambient, gens, direction, 3), rows))
     for degrees in _TABLE_GRIDS[dims]:
         model = ComplementModel(ambient, degrees)
         for name, assumption, rows in assumptions:
