@@ -107,8 +107,11 @@ def _json(obj, newline: str) -> str:
     """obj written at the indent that `newline` ends with.
 
     Keys are sorted and strings ASCII-escaped by the encoder json.dumps uses;
-    every int but a bool is a quoted decimal, and a tuple is a list.  str() of
-    an int longer than the interpreter's digit limit raises ValueError here.
+    every int but a bool is a quoted decimal, and a tuple is a list.  A
+    nonempty list or tuple of plain ints (type int exactly, so no bool), such
+    as a matrix row, a diagonal or a coordinate vector, is written in one
+    join; every other value goes item by item.  str() of an int longer than
+    the interpreter's digit limit raises ValueError here.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -126,11 +129,15 @@ def _json(obj, newline: str) -> str:
         if not obj:
             return "[]"
         first, sep, last = _json_frame("[", "]", newline)
+        if _PLAIN_INT.issuperset(map(type, obj)):
+            return first + '"' + ('"' + sep + '"').join(map(str, obj)) + '"' + last
         return first + sep.join([_json(item, inner) for item in obj]) + last
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
+# superset of the item types of a sequence that holds plain ints only
+_PLAIN_INT = frozenset((int,))
 
 
 def _json_frame(opener: str, closer: str, newline: str) -> tuple[str, str, str]:
@@ -147,10 +154,9 @@ def _json_key(key: str) -> str:
 def _matrix_text(m: IntegerMatrix) -> str:
     if m.rows == 0:
         return "(empty)"
-    widths = [max(len(str(row[j])) for row in m.entries) for j in range(m.cols)]
-    return "\n".join(
-        "[ " + "  ".join(str(x).rjust(w) for x, w in zip(row, widths)) + " ]" for row in m.entries
-    )
+    text = [list(map(str, row)) for row in m.entries]
+    widths = [max(map(len, column)) for column in zip(*text)]
+    return "\n".join("[ " + "  ".join(map(str.rjust, row, widths)) + " ]" for row in text)
 
 
 def _parse_matrix_literal(text: str) -> IntegerMatrix:

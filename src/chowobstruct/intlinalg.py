@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+# superset of the entry types of a row that holds plain ints only
+_PLAIN_INT = frozenset((int,))
+
 
 @dataclass(frozen=True, init=False, repr=False)
 class IntegerMatrix:
@@ -23,9 +26,20 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
+        """The matrix with these rows; cols fixes the width when there are none.
+
+        A row whose entries are all plain ints (type int exactly) is taken
+        whole.  Any other row is read entry by entry: a decimal string is
+        parsed, and a bool, float or other value raises ValueError at the
+        first such entry.  Rows of unequal width, or of another width than
+        cols, raise ValueError.
+        """
         rows = []
         for row in entries:
-            rows.append(tuple(self._as_int(e) for e in row))
+            row = tuple(row)
+            if not _PLAIN_INT.issuperset(map(type, row)):
+                row = tuple(map(self._as_int, row))
+            rows.append(row)
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged rows in matrix literal")

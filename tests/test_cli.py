@@ -204,6 +204,10 @@ def _canonicalised(obj):
     return obj
 
 
+class _Int(int):
+    pass
+
+
 @pytest.mark.parametrize("obj", [
     {},
     [],
@@ -216,9 +220,28 @@ def _canonicalised(obj):
     "ascii",
     None,
     True,
+    # sequences of plain ints, which the writer joins in one pass
+    [0, -1, 7, -(10 ** 399), 10 ** 399],
+    ((1, 0, -2), (0, 3, 0), (-4, 0, 5)),
+    {"diagonal": (1, 2, 0), "s": ((1, 0), (0, 2)), "v": [(0,), (-1,)]},
+    # a bool or an int subclass keeps the item-by-item path
+    [1, True, 0],
+    [_Int(3), _Int(-4), 5],
+    (_Int(0),),
 ])
 def test_dump_json_matches_the_stdlib_writer(obj):
     assert dump_json(obj) == json.dumps(_canonicalised(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_of_an_int_past_the_digit_limit_is_oversized_output():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError) as exc:
+            dump_json({"u": ((1, 10 ** 700),)})
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cli._is_oversized_output(exc.value)
 
 
 def test_dump_json_rejects_a_set_as_the_stdlib_writer_does():
@@ -533,6 +556,14 @@ def test_oversized_output_is_domain_error(capsys):
         assert json.loads(out)["error"]["type"] == "OutputTooLargeError"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("snf", "--matrix", "[[1,true]]"), "matrix entry True is not an integer"),
+    (("group", "--json", "--relations", '[[1,"x"]]'), "invalid literal for int() with base 10: 'x'"),
+])
+def test_non_integer_matrix_entry_is_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 def seeded_matrix(label: str, m: int, n: int, bound: int) -> str:

@@ -364,3 +364,18 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntegerMatrix([[1.5]])
     assert IntegerMatrix([["12", "-3"]]).entries == ((12, -3),)
+    # a row that is not all plain ints is read entry by entry
+    mixed = IntegerMatrix([[7, "8"], [1, 2]])
+    assert mixed.entries == ((7, 8), (1, 2))
+    assert all(type(x) is int for row in mixed.entries for x in row)
+    for bad, text in ((True, "True"), (2.5, "2.5")):
+        with pytest.raises(ValueError, match=rf"^matrix entry {text} is not an integer$"):
+            IntegerMatrix([[1, 2, 3], [4, bad, 6]])
+    # the first bad entry of a row is the one reported
+    with pytest.raises(ValueError, match=r"^matrix entry 2\.5 is not an integer$"):
+        IntegerMatrix([[1, 2.5, True]])
+    assert IntegerMatrix(((1, 2), (3, 4))).entries == ((1, 2), (3, 4))
+    assert IntegerMatrix((x, -x) for x in range(3)).entries == ((0, 0), (1, -1), (2, -2))
+    assert IntegerMatrix([(x for x in (5, 6)), iter(["7", 8])]).entries == ((5, 6), (7, 8))
+    empty_rows = IntegerMatrix([[], ()])
+    assert (empty_rows.rows, empty_rows.cols, empty_rows.entries) == (2, 0, ((), ()))
