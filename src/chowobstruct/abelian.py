@@ -53,7 +53,8 @@ def _box_walk(bounds: Sequence[int], totals: Iterable[int]) -> Iterator[tuple[in
     lexicographically descending order; a sum that no vector has yields
     nothing.  bounds is not empty.  The walk is lazy, so a box with a huge
     bound yields its first vectors at once.  AbelianPresentation.elements()
-    walks every sum of a group's box, AmbientSpace.monomial_basis one."""
+    walks every sum of a group's box, obstruction._labelled the sums outside
+    its runs and AmbientSpace.monomial_basis one."""
     if len(bounds) == 1:
         for total in totals:
             if 0 <= total < bounds[0]:
@@ -194,6 +195,17 @@ class AbelianPresentation:
         object.__setattr__(out, "_diagonal", (1,) * rank + (2,) * (n - rank))
         return out
 
+    def _box_bounds(self) -> tuple[int, ...]:
+        """The box bounds (p_0, ..., p_{n-1}) of a finite group, in generator
+        order: p_i is generator i's pivot in the box form, and the cosets
+        are the vectors of prod [0, p_i).  Raises InfiniteGroupError when a
+        free generator is present.  elements() walks these bounds, and
+        obstruction._labelled reads them to label runs of cosets at once."""
+        if not self.is_finite():
+            raise InfiniteGroupError(f"group {self.describe()} is infinite")
+        h = self._box_form().entries
+        return tuple(h[i][i] for i in range(self.ngens))[::-1]
+
     def elements(self) -> Iterator[tuple[int, ...]]:
         """Yield one coordinate tuple per coset: the vectors of the box
         prod [0, p_i) by coordinate sum ascending and, within one sum,
@@ -224,11 +236,8 @@ class AbelianPresentation:
         With at most one p_i above 1 the box is a plain range or the zero
         vector; otherwise _box_walk yields it lazily, so a huge bound starts at once.
         """
-        if not self.is_finite():
-            raise InfiniteGroupError(f"group {self.describe()} is infinite")
+        bounds = self._box_bounds()
         n = self.ngens
-        h = self._box_form().entries
-        bounds = tuple(h[i][i] for i in range(n))[::-1]
         moving = [i for i, p in enumerate(bounds) if p > 1]
         if len(moving) > 1:
             yield from _box_walk(bounds, range(sum(bounds) - n + 1))

@@ -29,8 +29,9 @@ class IntegerMatrix:
         """The matrix with these rows; cols fixes the width when there are none.
 
         A row whose entries are all plain ints (type int exactly) is taken
-        whole.  Any other row is read entry by entry: a decimal string is
-        parsed, and a bool, float or other value raises ValueError at the
+        whole.  Any other row is read entry by entry: a decimal string
+        (ASCII digits, optionally after one "-") is parsed, and any other
+        string, a bool, a float or another value raises ValueError at the
         first such entry.  Rows of unequal width, or of another width than
         cols, raise ValueError.
         """
@@ -65,7 +66,13 @@ class IntegerMatrix:
 
     @staticmethod
     def _as_int(e) -> int:
-        if isinstance(e, bool) or not isinstance(e, (int, str)):
+        """e as an int: an int, or a str of ASCII digits with an optional
+        leading "-", the form the JSON writer prints.  int() alone would also
+        take padding, underscores, a "+" and non-ASCII digits."""
+        if isinstance(e, str):
+            if not (e.isascii() and e.removeprefix("-").isdigit()):
+                raise ValueError(f"matrix entry {e!r} is not an integer")
+        elif isinstance(e, bool) or not isinstance(e, int):
             raise ValueError(f"matrix entry {e!r} is not an integer")
         return int(e)
 

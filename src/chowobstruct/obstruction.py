@@ -22,10 +22,12 @@ spaces of total dimension 4, where the criterion applies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, cycle, repeat
 
-from .abelian import AbelianPresentation, InfiniteGroupError
+from .abelian import AbelianPresentation, InfiniteGroupError, _box_walk
 from .chow import AmbientMismatchError, ChowClass, _divisor_columns, cup, reduce_mod2
 from .complement import ComplementModel, Direction, PushforwardAssumption, _relation_rows, certificate, complement_group
 from .intlinalg import _gf2_mask, _gf2_reduce, _gf2_span
@@ -310,17 +312,98 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
 
 
 def _labelled(group: AbelianPresentation):
-    """Generate (label, mask) for each coset of a finite group, in elements()
-    order, from one pass over its box vector: the label names the coset as a
-    class literal from the generator names, and the mask is the vector's
+    """An iterator of (label, mask), one per coset of a finite group, in
+    elements() order: the label names the coset's box vector as a class
+    literal from the generator names, and the mask is the vector's
     _gf2_mask.
+
+    Most cosets are labelled in C-level runs of map, chain, zip and cycle
+    over the box bounds, with no Python step per coset.  One moving
+    generator k (bound p above 1, every other bound 1) gives zero, then
+    name_k and c*name_k for c in [2, p), with bit k on at odd c.  Two
+    moving generators a < b with bounds pa and pb give levels of equal
+    coordinate sum: with s = min(pa, pb) and e = max(pa, pb), every level t
+    with s - 1 <= t <= e - 1 holds exactly s cosets, one per value u of the
+    short coordinate, and from one such level to the next the long
+    coordinate of each grows by one.  So that band is s lazy columns read
+    level by level through zip: column u joins the fixed term of u to a run
+    of long-coordinate terms, and its mask alternates through cycle.  The
+    levels before and after the band, at most s(s - 1) cosets, go through
+    _coset_labels one coset at a time, and so does every box with three or
+    more moving generators, or with |pa - pb| < 3, where setting up the
+    columns costs more than they save; that loop is the reference.  These
+    are the shapes the sweep meets: one moving generator on P^4, and at
+    most two per degree on P^1 x P^3.
+
+    Each run is made only once the one before it is used up, and nothing of
+    size pa or pb is built, so a huge bound starts at once.  Names are
+    joined by concatenation and never used as format strings, so a name
+    such as "{x}" is printed as it is.
+    """
+    return chain.from_iterable(_label_runs(group))
+
+
+def _label_runs(group: AbelianPresentation):
+    """Generate the runs of (label, mask) pairs that _labelled chains, in
+    order; a generator, so each run is built when the chain reaches it."""
+    names = group.generator_names
+    bounds = group._box_bounds()
+    moving = [k for k, p in enumerate(bounds) if p > 1]
+    if not moving:
+        yield (("0", 0),)
+        return
+    if len(moving) == 1:
+        # zero, then the generator's terms in a row, odd ones flipping bit k
+        k = moving[0]
+        name = names[k]
+        terms = map(operator.add, map(str, range(2, bounds[k])), repeat("*" + name))
+        yield zip(chain(("0", name), terms), cycle((0, 1 << k)))
+        return
+    a, b, *more = moving
+    pa, pb = bounds[a], bounds[b]
+    if more or abs(pa - pb) < 3:
+        # a band of at most three levels costs more to set up than its runs save
+        yield _coset_labels(names, group.elements())
+        return
+    if pa <= pb:
+        # the short coordinate comes first, so it runs down within a level
+        short, long, s, e, us = a, b, pa, pb, range(pa - 1, -1, -1)
+    else:
+        short, long, s, e, us = b, a, pb, pa, range(pb)
+    yield _coset_labels(names, _box_walk(bounds, range(s - 1)))
+    name, bit = names[long], 1 << long
+    tail = "*" + name
+    columns = []
+    for u in us:
+        # column u: the long coordinate runs over [lo, e - u), and e - u > 2
+        lo = s - 1 - u
+        labels = map(operator.add, map(str, range(max(lo, 2), e - u)), repeat(tail))
+        if lo < 2:
+            labels = chain((name,), labels)
+        base = 0
+        if u:
+            term = names[short] if u == 1 else str(u) + "*" + names[short]
+            base = (u & 1) << short
+            if short < long:
+                labels = map(operator.add, repeat(term + " + "), labels)
+            else:
+                labels = map(operator.add, labels, repeat(" + " + term))
+            if not lo:
+                # long coordinate 0: the short term alone
+                labels = chain((term,), labels)
+        columns.append(zip(labels, cycle((base | bit, base) if lo & 1 else (base, base | bit))))
+    yield chain.from_iterable(zip(*columns))
+    yield _coset_labels(names, _box_walk(bounds, range(e, pa + pb - 1)))
+
+
+def _coset_labels(names, vectors):
+    """Generate (label, mask) for each box vector, one vector at a time.
 
     Box coordinates are never negative and no generator is named "1", as no
     degree-1 or degree-2 monomial is, so on these vectors the label is what
     _terms_str gives for the (name, coordinate) terms.
     """
-    names = group.generator_names
-    for coords in group.elements():
+    for coords in vectors:
         parts = []
         mask = 0
         for k, c in enumerate(coords):

@@ -10,6 +10,7 @@ here on `classify` and on short outputs of other subcommands.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -254,13 +255,27 @@ def _two_pass(group):
     return [(_terms_str(zip(names, coords)), _gf2_mask(coords)) for coords in group.elements()]
 
 
+def _diagonal_box(names, bounds):
+    return AbelianPresentation(names, [[p * (i == j) for j in range(len(bounds))] for i, p in enumerate(bounds)])
+
+
 # finite groups the CLI never enumerates: bounds (12, 1, 3, 10) with a bound
 # of 1 between moving generators, a non-diagonal Hermite form with bounds
-# (11, 2, 10), and a Z/25 whose second generator is fixed
+# (11, 2, 10), and a Z/25 whose second generator is fixed; then diagonal
+# boxes of each shape _labelled tells apart: square, long second or first
+# coordinate, one moving generator in either place, two moving generators
+# around a fixed one, none moving, bounds 2 apart (one coset at a time) and
+# 3 apart (in columns), and names that would break a format string
 HAND_BUILT = (
     AbelianPresentation(("a*b", "c^2", "d", "e^3*f"), [[12, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 10]]),
     AbelianPresentation(("x^2*y", "z", "w^3"), [[11, 0, 0], [3, 2, 0], [1, 5, 10]]),
     AbelianPresentation(("u", "v^4"), [[1, 7], [0, 25]]),
+    *(
+        _diagonal_box(("x1", "x2", "x3")[: len(bounds)], bounds)
+        for bounds in ((2, 2), (2, 9), (9, 2), (5, 5), (1, 9), (9, 1), (3, 1, 11), (1, 1, 1), (3, 5), (3, 6), (7, 4))
+    ),
+    _diagonal_box(("{x}", "x2^{2}"), (13, 4)),
+    _diagonal_box(("{x}",), (6,)),
 )
 
 
@@ -272,6 +287,16 @@ def test_labelled_matches_the_two_pass_labels_and_masks():
     ]
     for group in groups + list(HAND_BUILT):
         assert list(obstruction._labelled(group)) == _two_pass(group), group
+
+
+def test_labelled_is_lazy():
+    # a box with a 10^12 bound has too many cosets to list, and its first
+    # ones still come at once: the first five lie in levels 0 to 2, which a
+    # bound of 6 in its place leaves as they are
+    for bounds, small in (((10 ** 12, 2), (6, 2)), ((2, 10 ** 12), (2, 6)), ((10 ** 12,), (6,))):
+        names = ("x1", "x2")[: len(bounds)]
+        first = list(itertools.islice(obstruction._labelled(_diagonal_box(names, bounds)), 5))
+        assert first == _two_pass(_diagonal_box(names, small))[:5], bounds
 
 
 class HashingSink:

@@ -560,10 +560,26 @@ def test_oversized_output_is_domain_error(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("snf", "--matrix", "[[1,true]]"), "matrix entry True is not an integer"),
-    (("group", "--json", "--relations", '[[1,"x"]]'), "invalid literal for int() with base 10: 'x'"),
+    (("group", "--json", "--relations", '[[1,"x"]]'), "matrix entry 'x' is not an integer"),
+    # a string entry is ASCII digits with an optional leading "-", as the
+    # JSON writer prints it, though int() takes padding, "_", "+" and "٣"
+    (("group", "--relations", '[[" 1_2 ", "٣"]]'), "matrix entry ' 1_2 ' is not an integer"),
+    (("group", "--json", "--relations", '[["٣"]]'), "matrix entry '٣' is not an integer"),
+    (("snf", "--matrix", '[["+5"]]'), "matrix entry '+5' is not an integer"),
+    (("snf", "--json", "--matrix", '[["1", "-"]]'), "matrix entry '-' is not an integer"),
 ])
 def test_non_integer_matrix_entry_is_usage_error(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_digit_string_matrix_entries_parse(capsys):
+    assert run_cli(capsys, "group", "--relations", '[["12", "-3"], [7, "8"]]') == (
+        0, "invariant factors: [117]\ngroup: Z/117\n", "")
+    assert run_cli(capsys, "snf", "--json", "--matrix", '[["4", 3], [0, "4"]]') == run_cli(
+        capsys, "snf", "--json", "--matrix", "[[4, 3], [0, 4]]")
+    # an over-long digit string keeps the interpreter's message
+    code, out, err = run_cli(capsys, "snf", "--matrix", f'[["{"9" * 5000}"]]')
+    assert (code, out) == (2, "") and err.startswith("usage error: Exceeds the limit") and "5000 digits" in err
 
 
 def seeded_matrix(label: str, m: int, n: int, bound: int) -> str:

@@ -16,9 +16,10 @@ recorded while ``classify`` still wrote its own output; the last six
 ``obstruct`` entries were recorded while the verdict rule still built a
 degree-3 presentation to read its relation rows; the four ``classify``
 entries of the wide P^1 x P^3 boxes were recorded while a box group's cosets
-were still listed one coordinate-sum level at a time; the last six, of label
+were still listed one coordinate-sum level at a time; the six before them, of label
 shapes, while the sweep still built each coset's label and parity mask in
-two passes.  A refactor that
+two passes; the last six, of coset runs, while the sweep still labelled one
+coset at a time.  A refactor that
 changes any verdict, justification, class string, JSON key order or row order
 changes a hash here.
 
@@ -104,6 +105,11 @@ _BASE_COMMANDS = (
     ("classify", "--ambient", "4", "--degree", "120", "--assumption", "even-degree"),
     ("classify", "--ambient", "1,3", "--degree", "13,3", "--assumption", "naive"),
     ("classify", "--ambient", "1,3", "--degree", "300,1", "--assumption", "even-degree"),
+    # coset runs: a CH^1 box whose short side is 3, a square CH^1 box, and
+    # one moving CH^1 generator beside a fixed one
+    ("classify", "--ambient", "1,3", "--degree", "3,11", "--assumption", "even-degree"),
+    ("classify", "--ambient", "1,3", "--degree", "7,7", "--assumption", "naive"),
+    ("classify", "--ambient", "1,3", "--degree", "1,9", "--assumption", "naive"),
 )
 
 # Every command in text and in --json.
@@ -219,6 +225,12 @@ GOLDEN = (
     (0, "6edf532cbe3810b29d4bc21bea8a518f4a68fe9ef3a14264b6c04240ebe9ad54"),
     (0, "985fc48eb0ee5581d0223bac3b9414c7e49318ab47ff3da522e410e0a23fbcf9"),
     (0, "6bf1672f961db6b39649acabe1cda0ab266a875f89a9c1e5ba9c83e6665e33ac"),
+    (0, "3a149d39f51963e5ef50b172680727cc2fe490e9c7cf493e81fa343fb02deee4"),
+    (0, "5e6a50a9864c06c0ad2d4283036954d3e9b6360bb66d5a7f9b3cb8950f513d18"),
+    (0, "3c4bcc42267c3af3c1e97ed2ebcc46e2fb283aa22f21bc10675652a1a09ed43a"),
+    (0, "30a4510c8302dd01b2eec67522f4c33b2f7997a459a5a0a5cfc407fe03068bfe"),
+    (0, "8e784e890bf119b907ab23e5c67500b230471c262e4e7d50c6e830dd1f94e316"),
+    (0, "5a97dc42ce60226c54c5c704b074b1820fb635896c293f0e4fcdaa2e1a63ebe3"),
 )
 
 

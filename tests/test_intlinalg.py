@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -364,6 +365,12 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         IntegerMatrix([[1.5]])
     assert IntegerMatrix([["12", "-3"]]).entries == ((12, -3),)
+    # a string is read only as ASCII digits with an optional leading "-"
+    for bad in (" 1_2 ", "٣", "+5", "1_000", " 7", "7\n", "-", "--5", "", "0x10", "²"):
+        with pytest.raises(ValueError, match=rf"^matrix entry {re.escape(repr(bad))} is not an integer$"):
+            IntegerMatrix([[1, bad]])
+    with pytest.raises(ValueError, match="5000 digits"):
+        IntegerMatrix([["9" * 5000]])
     # a row that is not all plain ints is read entry by entry
     mixed = IntegerMatrix([[7, "8"], [1, 2]])
     assert mixed.entries == ((7, 8), (1, 2))
