@@ -233,24 +233,14 @@ class AbelianPresentation:
         groups may differ from the search: Z^2 / <(5, 0), (-2, 1)> yields
         (0, 0), (1, 0), ..., (4, 0).
 
-        With at most one p_i above 1 the box is a plain range or the zero
-        vector; otherwise _box_walk yields it lazily, so a huge bound starts at once.
+        _box_walk yields the box lazily, so a huge bound starts at once; a
+        group with no generators has the empty vector as its one coset.
         """
         bounds = self._box_bounds()
-        n = self.ngens
-        moving = [i for i, p in enumerate(bounds) if p > 1]
-        if len(moving) > 1:
-            yield from _box_walk(bounds, range(sum(bounds) - n + 1))
-            return
-        # one coset per level: a plain range is fastest
-        zero = (0,) * n
-        if not moving:
-            yield zero
-            return
-        i = moving[0]
-        before, after = zero[:i], zero[i + 1:]
-        for c in range(bounds[i]):
-            yield before + (c,) + after
+        if not bounds:
+            yield ()
+        else:
+            yield from _box_walk(bounds, range(sum(bounds) - len(bounds) + 1))
 
     def __repr__(self) -> str:
         return f"AbelianPresentation({self.generator_names!r}, {self.relations.to_lists()!r})"

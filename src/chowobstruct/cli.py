@@ -52,7 +52,7 @@ from .complement import (
     closed_form_check,
     complement_group,
 )
-from .intlinalg import IntegerMatrix, smith_normal_form
+from .intlinalg import IntegerMatrix, _PLAIN_INT, smith_normal_form
 from .obstruction import (
     ChernPair,
     DimensionUnsupportedError,
@@ -136,8 +136,6 @@ def _json(obj, newline: str) -> str:
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
-# superset of the item types of a sequence that holds plain ints only
-_PLAIN_INT = frozenset((int,))
 
 
 def _json_frame(opener: str, closer: str, newline: str) -> tuple[str, str, str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-# superset of the entry types of a row that holds plain ints only
+# superset of the item types of a sequence that holds plain ints only
 _PLAIN_INT = frozenset((int,))
 
 

@@ -253,7 +253,7 @@ def test_enumerate_counts():
     assert not any(elements[0])
 
     trivial = AbelianPresentation((), IntegerMatrix([], cols=0))
-    assert len(list(trivial.elements())) == 1
+    assert list(trivial.elements()) == [()]
 
     free = AbelianPresentation(("x",), IntegerMatrix([], cols=1))
     with pytest.raises(InfiniteGroupError):
@@ -382,8 +382,15 @@ def test_each_presentation_builds_one_hermite_form(monkeypatch):
 def test_box_enumeration_is_lazy():
     # a box with a 10^12 bound has too many cosets to list, and its first
     # ones still come at once, in the search's order: the first five cosets
-    # lie in levels 0 to 2, which a bound of 6 in its place leaves as they are
-    for bounds, small in (((10 ** 12, 2), (6, 2)), ((2, 10 ** 12, 3), (2, 6, 3))):
+    # lie in levels 0 to 4, which a bound of 6 in its place leaves as they
+    # are, also where the huge bound is the one moving generator
+    for bounds, small in (
+        ((10 ** 12, 2), (6, 2)),
+        ((2, 10 ** 12, 3), (2, 6, 3)),
+        ((10 ** 12,), (6,)),
+        ((1, 10 ** 12), (1, 6)),
+        ((10 ** 12, 1, 1), (6, 1, 1)),
+    ):
         g = AbelianPresentation([f"g{i}" for i in range(len(bounds))], _box(bounds))
         first = list(itertools.islice(g.elements(), 5))
         assert first == forward_bfs_cosets(_box(small))[:5], bounds

@@ -248,6 +248,24 @@ def test_sweep_reduces_no_coset(monkeypatch):
             assert calls == [], (dims, degrees, assumption)
 
 
+def test_sweep_enumerates_only_boxes_with_two_moving_generators(monkeypatch):
+    # _labelled names the cosets of a box with at most one bound above 1 in
+    # C-level runs, so the sweep walks elements() only on boxes with two or
+    # more; on P^1 x P^3 the square CH^2 boxes are the ones it walks
+    boxes = []
+    elements = AbelianPresentation.elements
+
+    def recording_elements(self):
+        boxes.append(self._box_bounds())
+        return elements(self)
+
+    monkeypatch.setattr(AbelianPresentation, "elements", recording_elements)
+    for dims, degrees, assumption in SWEEPS:
+        classify_all(ComplementModel(AmbientSpace(dims), degrees), ASSUMPTIONS[assumption])
+    assert boxes
+    assert all(sum(p > 1 for p in bounds) >= 2 for bounds in boxes), boxes
+
+
 def _two_pass(group):
     """Each coset's label and mask from the printer of signed classes and the
     mod-2 mask, one pass each."""

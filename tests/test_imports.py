@@ -13,7 +13,9 @@ or HELD says what holds it in place: an export that no code calls is API
 kept for readers, and each such choice is written down once.  The same holds
 one level down: every public method, property, classmethod and staticmethod
 in the body of an exported class is read as an attribute somewhere in the
-package outside `__init__.py`, or HELD_METHODS says what holds it.
+package outside `__init__.py`, or HELD_METHODS says what holds it.  No
+module-level name is defined in two modules of the package: a name written
+twice can drift apart, and one module imports it from the other instead.
 
 `__init__.py` is skipped as an importer and as a definer: its imports are the
 package's re-exports, and they count as reads of the names they export.
@@ -42,6 +44,18 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def defined_names(tree: ast.Module) -> list[str]:
+    """The names bound by the module's top-level functions, classes and assignments to a plain name."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level names defined in one of the sources and never read or imported in any."""
     defined = []
@@ -49,18 +63,24 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         if module != "__init__":
-            for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    defined.append((module, node.name))
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+            defined += [(module, name) for name in defined_names(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def repeated_definitions(sources: dict[str, str]) -> list[str]:
+    """"name: module, module, ..." for every module-level name that more than
+    one source but `__init__` defines, names sorted, modules in source order."""
+    definers = {}
+    for module, source in sources.items():
+        if module != "__init__":
+            for name in set(defined_names(ast.parse(source))):
+                definers.setdefault(name, []).append(module)
+    return [f"{name}: {', '.join(modules)}" for name, modules in sorted(definers.items()) if len(modules) > 1]
 
 
 def unread_exports(sources: dict[str, str]) -> list[str]:
@@ -231,6 +251,21 @@ def test_every_definition_is_read_or_imported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert "__init__" in sources
     assert unread_definitions(sources) == []
+
+
+def test_repeated_definitions_are_found():
+    sources = {
+        "a": "X = 1\ndef f():\n    pass\nclass C:\n    Y = 0\nZ = 1\nZ = 2\n",
+        "b": "X: int = 2\nclass f:\n    pass\nY = 1\nfrom .a import C\n",
+        "c": "Y = 2\nX, W = 3, 4\nC.Z = 5\n",
+        "__init__": "Z = 0\nfrom .a import C\n",
+    }
+    assert repeated_definitions(sources) == ["X: a, b", "Y: b, c", "f: a, b"]
+
+
+def test_no_name_is_defined_in_two_modules():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert repeated_definitions(sources) == []
 
 
 def test_unread_exports_are_found():
