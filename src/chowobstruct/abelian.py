@@ -53,8 +53,7 @@ def _box_walk(bounds: Sequence[int], totals: Iterable[int]) -> Iterator[tuple[in
     lexicographically descending order; a sum that no vector has yields
     nothing.  bounds is not empty.  The walk is lazy, so a box with a huge
     bound yields its first vectors at once.  AbelianPresentation.elements()
-    walks every sum of a group's box, obstruction._labelled the sums outside
-    its runs and AmbientSpace.monomial_basis one."""
+    walks every sum of a group's box and AmbientSpace.monomial_basis one."""
     if len(bounds) == 1:
         for total in totals:
             if 0 <= total < bounds[0]:
@@ -225,7 +224,7 @@ class AbelianPresentation:
         first reached from its lexicographically largest parent c - e_j, j
         its last nonzero coordinate, and parents in descending order find
         their children in descending order.  Every group that classify
-        enumerates qualifies: the cyclic groups of P^4, the diagonal CH^1 of
+        labels qualifies: the cyclic groups of P^4, the diagonal CH^1 of
         P^1 x P^3, and its CH^2 = Z^2 / <(d2, 0), (d1, d2)> with box
         [0, d2)^2.  A nonzero a*(d2, 0) + b*(d1, d2) keeping a box vector v
         nonnegative has b >= 0; b = 0 forces a > 0, and b > 0 gives

@@ -25,10 +25,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, repeat
 
-from .abelian import AbelianPresentation, InfiniteGroupError, _box_walk
-from .chow import AmbientMismatchError, ChowClass, _divisor_columns, cup, reduce_mod2
+from .abelian import AbelianPresentation, InfiniteGroupError
+from .chow import AmbientMismatchError, ChowClass, _divisor_columns, _terms_str, cup, reduce_mod2
 from .complement import ComplementModel, Direction, PushforwardAssumption, _relation_rows, certificate, complement_group
 from .intlinalg import _gf2_mask, _gf2_reduce, _gf2_span
 from .steenrod import sq2
@@ -286,13 +286,12 @@ def _sweep(model: ComplementModel, assumption: PushforwardAssumption, render):
     CLI.  render runs once per parity of c1, and every coset of that parity
     yields its result.
 
-    Each coset's label and parity mask come from one pass over its box
-    vector in _labelled, which both groups go through, and each verdict is
-    read from _parity_verdicts at the two masks, so no lift, theta class,
-    report or verdict prose is built.  The groups of degrees 1 and 2, the
-    finite-group guard, the dimension guard, the table and the CH^2 labels
-    and masks come first, at the first next(); the CH^1 cosets are walked
-    lazily.
+    Each coset's label and parity mask come from _labelled, which both
+    groups go through, and each verdict is read from _parity_verdicts at
+    the two masks, so no lift, theta class, report or verdict prose is
+    built.  The groups of degrees 1 and 2, the finite-group guard, the
+    dimension guard, the table and the CH^2 labels and masks come first, at
+    the first next(); the CH^1 cosets are walked lazily.
     """
     naive = PushforwardAssumption.naive()
     g1 = complement_group(model, 1, naive)
@@ -317,98 +316,73 @@ def _labelled(group: AbelianPresentation):
     literal from the generator names, and the mask is the vector's
     _gf2_mask.
 
-    Most cosets are labelled in C-level runs of map, chain, zip and cycle
-    over the box bounds, with no Python step per coset.  One moving
-    generator k (bound p above 1, every other bound 1) gives zero, then
-    name_k and c*name_k for c in [2, p), with bit k on at odd c.  Two
-    moving generators a < b with bounds pa and pb give levels of equal
-    coordinate sum: with s = min(pa, pb) and e = max(pa, pb), every level t
-    with s - 1 <= t <= e - 1 holds exactly s cosets, one per value u of the
-    short coordinate, and from one such level to the next the long
-    coordinate of each grows by one.  So that band is s lazy columns read
-    level by level through zip: column u joins the fixed term of u to a run
-    of long-coordinate terms, and its mask alternates through cycle.  The
-    levels before and after the band, at most s(s - 1) cosets, go through
-    _coset_labels one coset at a time, and so does every box with three or
-    more moving generators, or with |pa - pb| < 3, where setting up the
-    columns costs more than they save; that loop is the reference.  These
-    are the shapes the sweep meets: one moving generator on P^4, and at
-    most two per degree on P^1 x P^3.
+    A box with at most two moving generators (bounds above 1), which is
+    every group the sweep meets, is labelled in C-level runs of map, chain,
+    zip and cycle, with no Python step per coset.  Two moving generators
+    with bounds s <= e are s _columns, one per value u of the short
+    coordinate, each running over the long one; level t of equal coordinate
+    sum takes the next item of each column with t - e < u <= t, in the
+    lexicographically descending order of the box walk (_levels).  One
+    moving generator is a single column, and none is the zero coset alone.
+    A box with three or more moving generators, which no command reaches,
+    goes through elements() and the class printer one coset at a time.
 
-    Each run is made only once the one before it is used up, and nothing of
-    size pa or pb is built, so a huge bound starts at once.  Names are
-    joined by concatenation and never used as format strings, so a name
+    Each level is made only once the one before it is used up, and nothing
+    of size s or e is built ahead, so a huge bound starts at once.  Names
+    are joined by concatenation and never used as format strings, so a name
     such as "{x}" is printed as it is.
     """
-    return chain.from_iterable(_label_runs(group))
-
-
-def _label_runs(group: AbelianPresentation):
-    """Generate the runs of (label, mask) pairs that _labelled chains, in
-    order; a generator, so each run is built when the chain reaches it."""
     names = group.generator_names
     bounds = group._box_bounds()
     moving = [k for k, p in enumerate(bounds) if p > 1]
     if not moving:
-        yield (("0", 0),)
-        return
+        return iter((("0", 0),))
     if len(moving) == 1:
-        # zero, then the generator's terms in a row, odd ones flipping bit k
-        k = moving[0]
-        name = names[k]
-        terms = map(operator.add, map(str, range(2, bounds[k])), repeat("*" + name))
-        yield zip(chain(("0", name), terms), cycle((0, 1 << k)))
-        return
-    a, b, *more = moving
-    pa, pb = bounds[a], bounds[b]
-    if more or abs(pa - pb) < 3:
-        # a band of at most three levels costs more to set up than its runs save
-        yield _coset_labels(names, group.elements())
-        return
-    if pa <= pb:
-        # the short coordinate comes first, so it runs down within a level
-        short, long, s, e, us = a, b, pa, pb, range(pa - 1, -1, -1)
-    else:
-        short, long, s, e, us = b, a, pb, pa, range(pb)
-    yield _coset_labels(names, _box_walk(bounds, range(s - 1)))
-    name, bit = names[long], 1 << long
-    tail = "*" + name
-    columns = []
-    for u in us:
-        # column u: the long coordinate runs over [lo, e - u), and e - u > 2
-        lo = s - 1 - u
-        labels = map(operator.add, map(str, range(max(lo, 2), e - u)), repeat(tail))
-        if lo < 2:
-            labels = chain((name,), labels)
-        base = 0
-        if u:
-            term = names[short] if u == 1 else str(u) + "*" + names[short]
-            base = (u & 1) << short
-            if short < long:
-                labels = map(operator.add, repeat(term + " + "), labels)
-            else:
-                labels = map(operator.add, labels, repeat(" + " + term))
-            if not lo:
-                # long coordinate 0: the short term alone
-                labels = chain((term,), labels)
-        columns.append(zip(labels, cycle((base | bit, base) if lo & 1 else (base, base | bit))))
-    yield chain.from_iterable(zip(*columns))
-    yield _coset_labels(names, _box_walk(bounds, range(e, pa + pb - 1)))
+        return _column(names, None, moving[0], 0, bounds[moving[0]])
+    if len(moving) > 2:
+        return ((_terms_str(zip(names, v)), _gf2_mask(v)) for v in group.elements())
+    a, b = moving
+    short, long = (a, b) if bounds[a] <= bounds[b] else (b, a)
+    return chain.from_iterable(_levels(names, short, long, bounds[short], bounds[long]))
 
 
-def _coset_labels(names, vectors):
-    """Generate (label, mask) for each box vector, one vector at a time.
+def _column(names, short, long, u, e):
+    """(label, mask) for short coordinate u and long coordinate 0, ..., e - 1:
+    the short term, then the long term joined to it on the side of the
+    generator that comes first, with the long generator's bit on at odd
+    long coordinates.  short is read only when u is nonzero."""
+    name = names[long]
+    head, tail, first, base = "", "", "0", 0
+    if u:
+        first = names[short] if u == 1 else str(u) + "*" + names[short]
+        base = (u & 1) << short
+        if short < long:
+            head = first + " + "
+        else:
+            tail = " + " + first
+    labels = map(operator.add, map(str, range(2, e)), repeat("*" + name + tail))
+    if head:
+        labels = map(operator.add, repeat(head), labels)
+    return zip(chain((first, head + name + tail), labels), cycle((base, base | 1 << long)))
 
-    Box coordinates are never negative and no generator is named "1", as no
-    degree-1 or degree-2 monomial is, so on these vectors the label is what
-    _terms_str gives for the (name, coordinate) terms.
-    """
-    for coords in vectors:
-        parts = []
-        mask = 0
-        for k, c in enumerate(coords):
-            if c:
-                parts.append(names[k] if c == 1 else f"{c}*{names[k]}")
-                if c & 1:
-                    mask |= 1 << k
-        yield " + ".join(parts) or "0", mask
+
+def _levels(names, short, long, s, e):
+    """Generate the runs of a box whose moving generators have bounds s <= e,
+    one run per level outside the band s - 1 <= t <= e - 1 and one for the
+    band, where every column is active.  Within a level the short
+    coordinate u runs down when the short generator comes first and up
+    otherwise, which is the order of cols.  Column u is made at level u and
+    used up after level u + e - 1; the islice stops the band before a bare
+    zip would take items from the columns before a used-up one.  cols
+    changes only between runs: chain.from_iterable asks for the next run
+    once the last one is used up."""
+    down = short < long
+    cols = []
+    for u in range(s):
+        cols.insert(0 if down else u, _column(names, short, long, u, e))
+        if u < s - 1:
+            yield map(next, cols)
+    yield chain.from_iterable(islice(zip(*cols), e - s + 1))
+    for _ in range(s - 1):
+        del cols[-1 if down else 0]
+        yield map(next, cols)

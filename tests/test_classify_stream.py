@@ -248,10 +248,10 @@ def test_sweep_reduces_no_coset(monkeypatch):
             assert calls == [], (dims, degrees, assumption)
 
 
-def test_sweep_enumerates_only_boxes_with_two_moving_generators(monkeypatch):
-    # _labelled names the cosets of a box with at most one bound above 1 in
-    # C-level runs, so the sweep walks elements() only on boxes with two or
-    # more; on P^1 x P^3 the square CH^2 boxes are the ones it walks
+def test_sweep_walks_no_box_through_elements(monkeypatch):
+    # _labelled names the cosets of every box with at most two bounds above 1
+    # in C-level runs, and every CH^1 and CH^2 box of P^4 and P^1 x P^3 is
+    # one, so neither classify_all nor the CLI table calls elements()
     boxes = []
     elements = AbelianPresentation.elements
 
@@ -262,8 +262,9 @@ def test_sweep_enumerates_only_boxes_with_two_moving_generators(monkeypatch):
     monkeypatch.setattr(AbelianPresentation, "elements", recording_elements)
     for dims, degrees, assumption in SWEEPS:
         classify_all(ComplementModel(AmbientSpace(dims), degrees), ASSUMPTIONS[assumption])
-    assert boxes
-    assert all(sum(p > 1 for p in bounds) >= 2 for bounds in boxes), boxes
+        code, _ = run_classify(monkeypatch, *_argv(dims, degrees, assumption))
+        assert code == 0
+    assert boxes == []
 
 
 def _two_pass(group):
@@ -279,19 +280,16 @@ def _diagonal_box(names, bounds):
 
 # finite groups the CLI never enumerates: bounds (12, 1, 3, 10) with a bound
 # of 1 between moving generators, a non-diagonal Hermite form with bounds
-# (11, 2, 10), and a Z/25 whose second generator is fixed; then diagonal
-# boxes of each shape _labelled tells apart: square, long second or first
-# coordinate, one moving generator in either place, two moving generators
-# around a fixed one, none moving, bounds 2 apart (one coset at a time) and
-# 3 apart (in columns), and names that would break a format string
+# (11, 2, 10), and a Z/25 whose second generator is fixed; then every
+# diagonal box with both bounds in 1..13, so both generator orders of each
+# pair of bounds, two moving generators around a fixed one in either order,
+# none moving, and names that would break a format string
 HAND_BUILT = (
     AbelianPresentation(("a*b", "c^2", "d", "e^3*f"), [[12, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 10]]),
     AbelianPresentation(("x^2*y", "z", "w^3"), [[11, 0, 0], [3, 2, 0], [1, 5, 10]]),
     AbelianPresentation(("u", "v^4"), [[1, 7], [0, 25]]),
-    *(
-        _diagonal_box(("x1", "x2", "x3")[: len(bounds)], bounds)
-        for bounds in ((2, 2), (2, 9), (9, 2), (5, 5), (1, 9), (9, 1), (3, 1, 11), (1, 1, 1), (3, 5), (3, 6), (7, 4))
-    ),
+    *(_diagonal_box(("x1", "x2"), (p, q)) for p in range(1, 14) for q in range(1, 14)),
+    *(_diagonal_box(("x1", "x2", "x3"), bounds) for bounds in ((3, 1, 11), (4, 1, 5), (5, 1, 4), (1, 1, 1))),
     _diagonal_box(("{x}", "x2^{2}"), (13, 4)),
     _diagonal_box(("{x}",), (6,)),
 )
@@ -309,9 +307,12 @@ def test_labelled_matches_the_two_pass_labels_and_masks():
 
 def test_labelled_is_lazy():
     # a box with a 10^12 bound has too many cosets to list, and its first
-    # ones still come at once: the first five lie in levels 0 to 2, which a
-    # bound of 6 in its place leaves as they are
-    for bounds, small in (((10 ** 12, 2), (6, 2)), ((2, 10 ** 12), (2, 6)), ((10 ** 12,), (6,))):
+    # ones still come at once: the first five lie in levels 0 to 4, which a
+    # bound of 6 (or 7) in its place leaves as they are, and the short
+    # generator stays the same one
+    for bounds, small in (((10 ** 12, 2), (6, 2)), ((2, 10 ** 12), (2, 6)), ((10 ** 12,), (6,)),
+                          ((10 ** 12, 10 ** 12), (6, 6)), ((10 ** 12, 10 ** 12 + 1), (6, 7)),
+                          ((10 ** 12 + 1, 10 ** 12), (7, 6))):
         names = ("x1", "x2")[: len(bounds)]
         first = list(itertools.islice(obstruction._labelled(_diagonal_box(names, bounds)), 5))
         assert first == _two_pass(_diagonal_box(names, small))[:5], bounds

@@ -18,8 +18,10 @@ degree-3 presentation to read its relation rows; the four ``classify``
 entries of the wide P^1 x P^3 boxes were recorded while a box group's cosets
 were still listed one coordinate-sum level at a time; the six before them, of label
 shapes, while the sweep still built each coset's label and parity mask in
-two passes; the last six, of coset runs, while the sweep still labelled one
-coset at a time.  A refactor that
+two passes; the six of coset runs while the sweep still labelled one
+coset at a time; the last four, of near-square boxes, while the square
+CH^2 boxes of P^1 x P^3 were still labelled one coset at a time.  A
+refactor that
 changes any verdict, justification, class string, JSON key order or row order
 changes a hash here.
 
@@ -110,6 +112,10 @@ _BASE_COMMANDS = (
     ("classify", "--ambient", "1,3", "--degree", "3,11", "--assumption", "even-degree"),
     ("classify", "--ambient", "1,3", "--degree", "7,7", "--assumption", "naive"),
     ("classify", "--ambient", "1,3", "--degree", "1,9", "--assumption", "naive"),
+    # near-square CH^1 boxes in both orientations, over square CH^2 boxes of
+    # sizes 10 and 12
+    ("classify", "--ambient", "1,3", "--degree", "12,10", "--assumption", "naive"),
+    ("classify", "--ambient", "1,3", "--degree", "10,12", "--assumption", "even-degree"),
 )
 
 # Every command in text and in --json.
@@ -231,6 +237,10 @@ GOLDEN = (
     (0, "30a4510c8302dd01b2eec67522f4c33b2f7997a459a5a0a5cfc407fe03068bfe"),
     (0, "8e784e890bf119b907ab23e5c67500b230471c262e4e7d50c6e830dd1f94e316"),
     (0, "5a97dc42ce60226c54c5c704b074b1820fb635896c293f0e4fcdaa2e1a63ebe3"),
+    (0, "5ec03a5b05c1f58ef6af62dcf75b35943bc154727c022e1e43e09ce635d4eded"),
+    (0, "1e0e15e18c97814d3aa892f7f072a5e5447c8aaa7c33c8f6de86cdb06862d100"),
+    (0, "401eac7b29a07bb4685f8d5785972f1b902d026fb62c20d8f67263451d7ffa15"),
+    (0, "bd12bb4d99faff3d2e67b51533c80cd71f1f1cdb5a11824c7531056f34217816"),
 )
 
 
