@@ -180,17 +180,21 @@ class AbelianPresentation:
             result *= k
         return 0 if any(w) else result
 
-    def _mod2_quotient(self, rank: int) -> "AbelianPresentation":
-        """The mod-2 reduction: same generators, relations extended by
-        2*(each generator), for a caller that reduced the relation rows mod 2
-        itself, as decide() does, and passes the rank r of their GF(2) span.
+    @classmethod
+    def _mod2_quotient(
+        cls, generator_names: Sequence[str], rows: tuple[tuple[int, ...], ...], rank: int
+    ) -> "AbelianPresentation":
+        """The mod-2 reduction of the group on these generators with these
+        relation rows: the rows extended by 2*(each generator), for a caller
+        that reduced the rows mod 2 itself, as decide() does, and passes the
+        rank r of their GF(2) span.  No group on the rows alone is built.
 
         Only its Smith diagonal is stored: the quotient is GF(2)^n / V for V
         that span, so the diagonal is (1,)*r + (2,)*(n - r).
         """
-        n = self.ngens
+        n = len(generator_names)
         twos = tuple(tuple(2 * int(i == j) for j in range(n)) for i in range(n))
-        out = AbelianPresentation(self.generator_names, IntegerMatrix._trusted(self.relations.entries + twos, n))
+        out = cls(generator_names, IntegerMatrix._trusted(rows + twos, n))
         object.__setattr__(out, "_diagonal", (1,) * rank + (2,) * (n - rank))
         return out
 

@@ -186,16 +186,20 @@ def reduce_mod2(c: ChowClass) -> ChowClass:
 
 
 def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of z * m in the degree-j basis, one tuple per degree-(j-1) basis monomial m."""
+    """Coordinates of z * m in the degree-j basis, one tuple per degree-(j-1) basis monomial m.
+
+    z has degree 1, so each of its terms is c * x_i, and its product with m
+    bumps the one exponent m[i]."""
     # a product monomial missing from the index is past a truncation bound
     index = {e: i for i, e in enumerate(ambient.monomial_basis(j))}
+    terms = [(e.index(1), c) for e, c in z.items()]
     columns = []
     for m in ambient.monomial_basis(j - 1):
         col = [0] * len(index)
-        for e, c in z.items():
-            i = index.get(tuple(x + y for x, y in zip(e, m)))
-            if i is not None:
-                col[i] += c
+        for i, c in terms:
+            k = index.get(m[:i] + (m[i] + 1,) + m[i + 1:])
+            if k is not None:
+                col[k] += c
         columns.append(tuple(col))
     return tuple(columns)
 

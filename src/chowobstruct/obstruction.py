@@ -25,13 +25,14 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import chain, cycle, islice, repeat
 
 from .abelian import AbelianPresentation, InfiniteGroupError
-from .chow import AmbientMismatchError, ChowClass, _divisor_columns, _terms_str, cup, reduce_mod2
+from .chow import AmbientMismatchError, ChowClass, _divisor_columns, _terms_str
 from .complement import ComplementModel, Direction, PushforwardAssumption, _relation_rows, certificate, complement_group
 from .intlinalg import _gf2_mask, _gf2_reduce, _gf2_span
-from .steenrod import sq2
+from .steenrod import _sq2_twisted, sq2
 
 UNVERIFIED_HYPOTHESES = (
     "the complement is treated as a smooth affine fourfold over an algebraically "
@@ -70,7 +71,9 @@ class ObstructionReport:
     """theta on the ambient; theta_image, theta reduced modulo the GF(2) span
     of the assumption's degree-3 relation rows (_gf2_span), with a 0 at each
     of the span's pivots, their lowest set bits; and theta_quotient, the
-    assumption's degree-3 mod-2 quotient.  theta_image is theta reduced
+    assumption's degree-3 mod-2 quotient, presented on the degree-3 monomials
+    by those rows and 2*I with its Smith diagonal written down from the
+    span's rank, no degree-3 group being built.  theta_image is theta reduced
     against the Hermite form of those rows stacked on 2*I in column order,
     not theta_quotient.canonical_coords, which reduces from the last
     generator back."""
@@ -83,8 +86,14 @@ class ObstructionReport:
 
 
 def theta(pair: ChernPair) -> ChowClass:
-    """Sq^2(c2) + c1 * c2 as a degree-3 mod-2 class on the ambient space."""
-    return reduce_mod2(sq2(pair.c2) + cup(pair.c1, pair.c2))
+    """Sq^2(c2) + c1 * c2 as a degree-3 mod-2 class on the ambient space.
+
+    Mod 2, Sq^2(m) = w(m) * m for a monomial m with parity divisor w(m) (see
+    steenrod), so theta is the sum of (c1 + w(m)) * m over the odd terms m of
+    c2, truncated: one pass of steenrod's monomial rule with c1 as the twist,
+    and no intermediate class.
+    """
+    return _sq2_twisted(pair.c2, pair.c1.coords())
 
 
 def sq2_descends(model: ComplementModel) -> bool:
@@ -117,13 +126,18 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
     is only ever derived from a quotient asserted to contain the pushforward
     image, ALGEBRAIZABLE only from a quotient by a subgroup lying inside it.
     The verdict comes from _verdict_rule, shared with classify's table, on the
-    rows of the degree-3 group reported mod 2; the basis text is written here.
+    assumption's degree-3 relation rows; the basis text is written here.  No
+    degree-3 group is built: the reported mod-2 quotient is presented from
+    those rows and the rank of their GF(2) span, which fixes its Smith
+    diagonal.
     """
     _check_total_dim(model)
-    if pair.c1.ambient != model.ambient:
+    ambient = model.ambient
+    if pair.c1.ambient != ambient:
         raise AmbientMismatchError("pair does not live on the model's ambient space")
-    assm_group = complement_group(model, 3, assumption)
-    assm_rank, rule = _verdict_rule(model, assumption, assm_group.relations.entries)
+    names = tuple(map(ambient.monomial_str, ambient.monomial_basis(3)))
+    rows = _relation_rows(model, 3, assumption)
+    assm_rank, rule = _verdict_rule(model, assumption, rows)
     certificates = {
         "naive": certificate(model, 3, PushforwardAssumption.naive()).as_dict(),
         "assumption": certificate(model, 3, assumption).as_dict(),
@@ -152,8 +166,8 @@ def decide(model: ComplementModel, pair: ChernPair, assumption: PushforwardAssum
         )
     return ObstructionReport(
         theta_on_y=th,
-        theta_image=tuple((assm_mask >> k) & 1 for k in range(assm_group.ngens)),
-        theta_quotient=assm_group._mod2_quotient(assm_rank),
+        theta_image=tuple((assm_mask >> k) & 1 for k in range(len(names))),
+        theta_quotient=AbelianPresentation._mod2_quotient(names, rows, assm_rank),
         verdict=verdict,
         justification={
             "assumption": assumption.label(),
@@ -220,18 +234,24 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
     each of the 2^b3 masks.  Mod 2, Sq^2 is additive and the cup product is
     bilinear, so theta(c1, .) is linear in c2: its image of the degree-2
     basis monomial m_j is Sq^2(m_j) plus x_i*m_j for each monomial x_i of
-    c1.  One subset doubling over the _divisor_columns of the x_i gives
-    those images for every c1 mask, and one over the images gives theta of
+    c1.  The products x_i*m_j are the masks of the _divisor_columns of the
+    x_i, and by steenrod's rule Sq^2(m_j) = w(m_j)*m_j is the XOR of the
+    products x_i*m_j over the i with m_j[i] odd, so no Sq^2 is evaluated and
+    no class is built for it.  One subset doubling over the products gives
+    the images for every c1 mask, and one over the images gives theta of
     every c2 mask.  Callers check that the model has total dimension 4.
 
     The table depends on the multidegree d only mod 2: mod 2, z is the sum
     of (d_i mod 2)*x_i, and declared rows, Sq^2 and cup do not involve d.
     """
     ambient = model.ambient
-    squares = [_gf2_mask(sq2(ChowClass._trusted(ambient, 2, {e: 1})).coords()) for e in ambient.monomial_basis(2)]
     products = [
         [_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass._trusted(ambient, 1, {e: 1}), 3)]
         for e in ambient.monomial_basis(1)
+    ]
+    squares = [
+        reduce(operator.xor, (row[j] for row, a in zip(products, m) if a % 2), 0)
+        for j, m in enumerate(ambient.monomial_basis(2))
     ]
     _, rule = _verdict_rule(model, assumption, _relation_rows(model, 3, assumption))
     verdicts = [rule(mask)[0] for mask in range(1 << len(ambient.monomial_basis(3)))]

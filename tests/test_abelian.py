@@ -161,7 +161,8 @@ def test_element_order_with_pivot_gaps_and_zero_rows():
 def _tensor_mod2(group):
     """The mod-2 reduction that decide() reports, from the GF(2) span of the
     group's relations."""
-    return group._mod2_quotient(len(_gf2_span(group.relations.entries)))
+    rows = group.relations.entries
+    return AbelianPresentation._mod2_quotient(group.generator_names, rows, len(_gf2_span(rows)))
 
 
 def test_tensor_mod2():

@@ -12,6 +12,7 @@ from chowobstruct.chow import (
     parse_class,
     reduce_mod2,
 )
+from chowobstruct.complement import ComplementModel
 from chowobstruct.intlinalg import IntegerMatrix
 from chowobstruct.steenrod import sq2
 
@@ -83,14 +84,27 @@ def test_divisor_matrix_agrees_with_cup():
 
 
 def test_divisor_matrix_matches_cup_columns():
-    # the slow path: one cup product per degree-(j-1) basis monomial
+    # the slow path: one cup product per degree-(j-1) basis monomial, on
+    # every ambient with at most 4 factors and total dimension at most 6, in
+    # every degree from 0 to two past the top; each term c*x_i of z bumps
+    # one exponent of m.  z runs over seeded classes and over hypersurface
+    # classes with zero components, z = 0 among them
     rng = random.Random(83)
-    ambients = [AmbientSpace(d) for d in ((4,), (1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1), (1, 1, 1), (5,))]
+    ambients = [
+        AmbientSpace(dims)
+        for k in range(1, 5)
+        for dims in itertools.product(range(1, 7), repeat=k)
+        if sum(dims) <= 6
+    ]
+    assert len(ambients) == 56
     for ambient in ambients:
+        k = ambient.k
         basis = ambient.monomial_basis(1)
-        for _ in range(20):
-            z = ChowClass(ambient, 1, {e: rng.randint(-6, 6) for e in basis})
-            for j in range(1, ambient.total_dim + 3):
+        multidegrees = {(0,) * k, tuple(range(k)), tuple((3 * i + 2) % 5 for i in range(k))}
+        zs = [ChowClass(ambient, 1, {e: rng.randint(-6, 6) for e in basis}) for _ in range(20)]
+        zs += [ComplementModel(ambient, degrees).z_class for degrees in multidegrees]
+        for z in zs:
+            for j in range(ambient.total_dim + 3):
                 columns = [
                     cup(z, ChowClass(ambient, j - 1, {m: 1})).coords() for m in ambient.monomial_basis(j - 1)
                 ]

@@ -175,10 +175,11 @@ def test_rows_are_constant_under_twist_and_dual():
     assert got == EVEN_DEGREE_TWIST_DUAL_MISMATCHES
 
 
-# Sq^2 of each of the b2 degree-2 basis monomials, and the b1*b2 products of a
-# degree-1 with a degree-2 one from one _divisor_columns call per degree-1
-# monomial, per sweep; no cup
-BASIS_PRODUCTS = {(4,): {"sq2": 1, "divisor_columns": 1}, (1, 3): {"sq2": 2, "divisor_columns": 2}}
+# The b1*b2 products of a degree-1 with a degree-2 basis monomial from one
+# _divisor_columns call per degree-1 monomial, per sweep; Sq^2 of the b2
+# degree-2 basis monomials is XORed from those products, with no sq2 call,
+# and obstruction imports no cup
+BASIS_PRODUCTS = {(4,): {"divisor_columns": 1}, (1, 3): {"divisor_columns": 2}}
 
 
 def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
@@ -194,9 +195,9 @@ def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
 
         return wrapper
 
+    assert not hasattr(obstruction, "cup")
     from_coords = ChowClass.from_coords.__func__
     monkeypatch.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
-    monkeypatch.setattr(obstruction, "cup", counting("cup", obstruction.cup))
     monkeypatch.setattr(obstruction, "_divisor_columns",
                         counting("divisor_columns", obstruction._divisor_columns))
     monkeypatch.setattr(obstruction, "theta", counting("theta", obstruction.theta))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chowobstruct import complement
+from chowobstruct.abelian import AbelianPresentation
 from chowobstruct.chow import AmbientSpace, ChowClass, parse_class
 from chowobstruct.complement import (
     ComplementModel,
@@ -472,7 +473,8 @@ def test_containing_assumptions_contain_divisor_multiples_mod2():
                     count = None
                     break
                 holds = mod2_span_contains(group.relations.entries, naive_rows)
-                quotient = group._mod2_quotient(len(_gf2_span(group.relations.entries)))
+                rows = group.relations.entries
+                quotient = AbelianPresentation._mod2_quotient(group.generator_names, rows, len(_gf2_span(rows)))
                 assert holds == all(not any(quotient.canonical_coords(row)) for row in naive_rows), (name, degrees)
                 assert holds == (name in ("naive", "nori") or all(d % 2 == 0 for d in degrees))
                 count += holds

@@ -102,6 +102,7 @@ def unread_exports(sources: dict[str, str]) -> list[str]:
 # Exports that no code in the package calls, with what holds each in place.
 HELD = {
     "classify_all": "the library form of `classify`: the README names it, and acceptance criteria 5 and 6 run it",
+    "reduce_mod2": "acceptance criterion 7 calls it, and tests check the one-pass theta against it",
     "sq2_descends": "the executable check that Sq^2 respects the degree-2 relations: acceptance criterion 8 runs it",
 }
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from chowobstruct import chow, complement, obstruction
-from chowobstruct.abelian import InfiniteGroupError
+from chowobstruct.abelian import AbelianPresentation, InfiniteGroupError
 from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class, reduce_mod2
 from chowobstruct.complement import ComplementModel, PushforwardAssumption, complement_group
 from chowobstruct.intlinalg import IntegerMatrix, _gf2_mask, _gf2_span, hermite_normal_form, hermite_reduce
@@ -141,10 +141,10 @@ def test_decide_custom_lower_bound_can_certify_algebraizable():
     "assumption, spans", [(NAIVE, 1), (NORI, 1), (EVEN, 2)], ids=["naive", "nori", "even-degree"]
 )
 def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, spans):
-    # decide() builds only the assumption's degree-3 group and eliminates its
-    # relations mod 2 once, for the verdict rule and the reported quotient
-    # alike; under even-degree the naive span comes from the relation rows
-    # with no group built, which is the second elimination
+    # decide() builds no degree-3 group: it eliminates the assumption's
+    # relation rows mod 2 once, for the verdict rule and the reported
+    # quotient alike; under even-degree the naive span comes from the naive
+    # relation rows, which is the second elimination
     calls, built = [], []
     gf2_span = obstruction._gf2_span
 
@@ -163,11 +163,12 @@ def test_decide_reduces_a_shared_group_mod2_once(monkeypatch, assumption, spans)
         m.setattr(obstruction, "complement_group", counting_complement_group)
         report = decide(model, pair, assumption)
     assert len(calls) == spans
-    assert len(built) == 1
+    assert len(built) == 0
     # the image still lies in the reduction of the assumption's own group,
     # with the Smith diagonal of its mod-2 reduction
     group = complement_group(model, 3, assumption)
-    expected = group._mod2_quotient(len(_gf2_span(group.relations.entries)))
+    rows = group.relations.entries
+    expected = AbelianPresentation._mod2_quotient(group.generator_names, rows, len(_gf2_span(rows)))
     assert report.theta_quotient == expected
     assert report.theta_quotient.invariant_factors() == expected.invariant_factors()
 
@@ -390,10 +391,11 @@ def test_decide_computes_each_degree_3_row_set_once(monkeypatch, assumption, row
 
 
 def _sweep_against_decide(monkeypatch, model, assumption):
-    """Run classify_all with calls to theta, sq2 and cup counted, check every
-    row against a direct decide() on its own lift, and return those three
-    counts for classify_all."""
-    calls = {"theta": 0, "sq2": 0, "cup": 0}
+    """Run classify_all with calls to theta and sq2 counted, check every row
+    against a direct decide() on its own lift with calls to sq2 counted, and
+    return the counts (theta and sq2 in classify_all, sq2 in the decide()
+    calls).  obstruction imports no cup, so neither calls it."""
+    calls = {"theta": 0, "sq2": 0, "decide sq2": 0}
 
     def counting(name, f):
         def wrapper(*args):
@@ -402,39 +404,43 @@ def _sweep_against_decide(monkeypatch, model, assumption):
 
         return wrapper
 
+    assert not hasattr(obstruction, "cup")
     with monkeypatch.context() as m:
         m.setattr(obstruction, "theta", counting("theta", obstruction.theta))
         m.setattr(obstruction, "sq2", counting("sq2", obstruction.sq2))
-        m.setattr(obstruction, "cup", counting("cup", obstruction.cup))
         rows = classify_all(model, assumption)
     ambient = model.ambient
-    for row in rows:
-        pair = ChernPair(
-            parse_class(ambient, row.c1, degree=1), parse_class(ambient, row.c2, degree=2)
-        )
-        assert decide(model, pair, assumption).verdict == row.verdict, (model, row)
-    return calls["theta"], calls["sq2"], calls["cup"]
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "sq2", counting("decide sq2", obstruction.sq2))
+        for row in rows:
+            pair = ChernPair(
+                parse_class(ambient, row.c1, degree=1), parse_class(ambient, row.c2, degree=2)
+            )
+            assert decide(model, pair, assumption).verdict == row.verdict, (model, row)
+    return calls["theta"], calls["sq2"], calls["decide sq2"]
 
 
 @pytest.mark.parametrize("assumption", [NAIVE, EVEN, NORI], ids=lambda a: a.label())
 def test_classify_p4_matches_decide_on_every_row(monkeypatch, assumption):
-    # theta is bilinear mod 2, so the sweep reads it off Sq^2(x1^2) and
-    # x1*x1^2, the latter from the divisor columns of x1, and never evaluates
-    # theta on a lift or calls cup
+    # theta is bilinear mod 2, so the sweep reads it off x1*x1^2, from the
+    # divisor columns of x1, and Sq^2(x1^2), the XOR of those products over
+    # the odd exponents of x1^2, which is 0; it never evaluates theta on a
+    # lift or calls sq2, and decide() evaluates theta in one pass with no sq2
     for d in range(1, 13):
         calls = _sweep_against_decide(monkeypatch, ComplementModel(P4, (d,)), assumption)
-        assert calls == (0, 1, 0), (d, calls)
+        assert calls == (0, 0, 0), (d, calls)
 
 
 @pytest.mark.parametrize("assumption", [NAIVE, NORI, EVEN], ids=lambda a: a.label())
 def test_classify_p1xp3_matches_decide_on_every_row(monkeypatch, assumption):
-    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2: Sq^2 of 2 monomials and
-    # 2*2 products, read off divisor columns with no cup
+    # CH^1 and CH^2 of P^1 x P^3 have ranks 2 and 2: 2*2 products, read off
+    # divisor columns, and Sq^2 of the 2 monomials XORed from them, with no
+    # sq2 call in the sweep or in decide()
     for d1 in range(1, 5):
         for d2 in range(1, 5):
             model = ComplementModel(P1xP3, (d1, d2))
             calls = _sweep_against_decide(monkeypatch, model, assumption)
-            assert calls == (0, 2, 0), (d1, d2, calls)
+            assert calls == (0, 0, 0), (d1, d2, calls)
 
 
 # The parity table on every ambient of total dimension 4, with every parity

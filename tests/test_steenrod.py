@@ -1,8 +1,11 @@
 import random
 
-from chowobstruct.chow import AmbientSpace, ChowClass, cup, parse_class, reduce_mod2
+from chowobstruct.chow import AmbientSpace, ChowClass, _divisor_columns, cup, parse_class, reduce_mod2
+from chowobstruct.intlinalg import _gf2_mask
 from chowobstruct.obstruction import ChernPair, theta
 from chowobstruct.steenrod import sq2
+
+from oracles import gf2_theta
 
 P1xP3 = AmbientSpace((1, 3))
 P4 = AmbientSpace((4,))
@@ -95,3 +98,51 @@ def test_sq2_and_theta_read_integer_input_mod2():
             th = theta(ChernPair(c1, c2))
             assert th == theta(ChernPair(reduce_mod2(c1), reduce_mod2(c2)))
             assert all(coeff == 1 for _, coeff in th.items())
+
+
+# theta's ambients: every one of total dimension 4, then P^1 x P^2, where
+# degree 3 is the top degree and most products x_i*m truncate, and P^3 x P^3,
+# where none does.
+THETA_AMBIENTS = DIMENSION_4 + (AmbientSpace((1, 2)), AmbientSpace((3, 3)))
+
+
+def gf2_set(c):
+    return {e for e, coeff in c.items() if coeff % 2}
+
+
+def test_one_pass_theta_matches_the_slow_path_and_the_oracle():
+    # theta sums (c1 + w(m))*m over the odd terms m of c2 in one pass; the
+    # slow path builds Sq^2(c2), c1*c2, their sum and its reduction mod 2,
+    # and the oracle squares c2 as a ring homomorphism, with no package code
+    rng = random.Random(151)
+    seen = set()
+    for ambient in THETA_AMBIENTS:
+        for _ in range(40):
+            c1 = random_class(rng, ambient, 1, -6, 6)
+            c2 = random_class(rng, ambient, 2, -6, 6)
+            seen.update(coeff for c in (c1, c2) for _, coeff in c.items())
+            th = theta(ChernPair(c1, c2))
+            assert th == reduce_mod2(sq2(c2) + cup(c1, c2)), (ambient, c1, c2)
+            assert th.degree == 3
+            assert gf2_set(th) == gf2_theta(ambient.factor_dims, gf2_set(c1), gf2_set(c2)), (ambient, c1, c2)
+    # zero coefficients are dropped on construction; every other one occurs
+    assert seen == set(range(-6, 7)) - {0}
+
+
+def test_squares_are_xors_of_the_divisor_products():
+    # Sq^2(m) = w(m)*m: on every degree-2 basis monomial m, the XOR of the
+    # masks of x_i*m over the i with m[i] odd, each read off the divisor
+    # columns of x_i as the parity table reads them, is Sq^2(m)
+    for ambient in THETA_AMBIENTS:
+        basis1 = ambient.monomial_basis(1)
+        products = [[_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass(ambient, 1, {e: 1}), 3)]
+                    for e in basis1]
+        for j, m in enumerate(ambient.monomial_basis(2)):
+            square = 0
+            for i, a in enumerate(m):
+                if a % 2:
+                    square ^= products[i][j]
+            monomial = ChowClass(ambient, 2, {m: 1})
+            assert square == _gf2_mask(sq2(monomial).coords()), (ambient, m)
+            w = ChowClass(ambient, 1, {e: a % 2 for e, a in zip(basis1, m)})
+            assert sq2(monomial) == reduce_mod2(cup(w, monomial)), (ambient, m)
