@@ -185,14 +185,15 @@ def reduce_mod2(c: ChowClass) -> ChowClass:
     return ChowClass._trusted(c.ambient, c.degree, {e: v % 2 for e, v in c.items()})
 
 
-def _divisor_columns(ambient: AmbientSpace, z: ChowClass, j: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of z * m in the degree-j basis, one tuple per degree-(j-1) basis monomial m.
+def _divisor_columns(ambient: AmbientSpace, weights: tuple[int, ...], j: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of z * m in the degree-j basis, one tuple per degree-(j-1) basis monomial m,
+    for the degree-1 class z = sum of weights[i] * x_i.
 
-    z has degree 1, so each of its terms is c * x_i, and its product with m
-    bumps the one exponent m[i]."""
+    Each term of z is c * x_i, and its product with m bumps the one exponent
+    m[i]."""
     # a product monomial missing from the index is past a truncation bound
     index = {e: i for i, e in enumerate(ambient.monomial_basis(j))}
-    terms = [(e.index(1), c) for e, c in z.items()]
+    terms = [(i, c) for i, c in enumerate(weights) if c]
     columns = []
     for m in ambient.monomial_basis(j - 1):
         col = [0] * len(index)

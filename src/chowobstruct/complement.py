@@ -134,7 +134,10 @@ class ExactnessCertificate:
 
 @dataclass(frozen=True)
 class ComplementModel:
-    """Ambient space plus hypersurface multidegree."""
+    """Ambient space plus hypersurface multidegree.
+
+    The multidegree (d_1, ..., d_k) is the weight vector of the hypersurface
+    class z = d_1*x1 + ... + d_k*xk in the degree-1 basis."""
 
     ambient: AmbientSpace
     multidegree: tuple[int, ...]
@@ -149,14 +152,6 @@ class ComplementModel:
         object.__setattr__(self, "multidegree", degrees)
 
     @property
-    def z_class(self) -> ChowClass:
-        """The hypersurface class d_1*x1 + ... + d_k*xk."""
-        k = self.ambient.k
-        return ChowClass._trusted(
-            self.ambient, 1, {tuple(int(j == i) for j in range(k)): d for i, d in enumerate(self.multidegree)}
-        )
-
-    @property
     def is_ample(self) -> bool:
         return all(d > 0 for d in self.multidegree)
 
@@ -169,15 +164,15 @@ def _relation_rows(model: ComplementModel, j: int, assumption: PushforwardAssump
     the quotient is presented with one relation d_i * x_i per factor, so that
     CH^1 splits as the direct sum of Z/d_i with x_i generating the i-th
     summand; in every other degree the generators are z * (each degree j-1
-    basis monomial), the coordinate tuples of _divisor_columns, taken
-    directly as relation rows, and degree 0 has none.  Declared rows apply in
+    basis monomial), the _divisor_columns of the multidegree, taken directly
+    as relation rows, and degree 0 has none.  Declared rows apply in
     their one degree, on the ambients they are declared for.
     """
     if assumption.rows is None:
         if j == 1:
             k = model.ambient.k
             return tuple(tuple(model.multidegree[i] * int(c == i) for c in range(k)) for i in range(k))
-        return _divisor_columns(model.ambient, model.z_class, j)
+        return _divisor_columns(model.ambient, model.multidegree, j)
     if j == assumption.degree:
         for dims, rows in assumption.rows:
             if dims == model.ambient.factor_dims:

@@ -235,9 +235,10 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
     bilinear, so theta(c1, .) is linear in c2: its image of the degree-2
     basis monomial m_j is Sq^2(m_j) plus x_i*m_j for each monomial x_i of
     c1.  The products x_i*m_j are the masks of the _divisor_columns of the
-    x_i, and by steenrod's rule Sq^2(m_j) = w(m_j)*m_j is the XOR of the
-    products x_i*m_j over the i with m_j[i] odd, so no Sq^2 is evaluated and
-    no class is built for it.  One subset doubling over the products gives
+    unit weight vectors of the x_i, which are the degree-1 basis monomials
+    themselves, and by steenrod's rule Sq^2(m_j) = w(m_j)*m_j is the XOR of
+    the products x_i*m_j over the i with m_j[i] odd, so no Sq^2 is evaluated
+    and no class is built.  One subset doubling over the products gives
     the images for every c1 mask, and one over the images gives theta of
     every c2 mask.  Callers check that the model has total dimension 4.
 
@@ -245,10 +246,7 @@ def _parity_verdicts(model: ComplementModel, assumption: PushforwardAssumption) 
     of (d_i mod 2)*x_i, and declared rows, Sq^2 and cup do not involve d.
     """
     ambient = model.ambient
-    products = [
-        [_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass._trusted(ambient, 1, {e: 1}), 3)]
-        for e in ambient.monomial_basis(1)
-    ]
+    products = [[_gf2_mask(col) for col in _divisor_columns(ambient, e, 3)] for e in ambient.monomial_basis(1)]
     squares = [
         reduce(operator.xor, (row[j] for row, a in zip(products, m) if a % 2), 0)
         for j, m in enumerate(ambient.monomial_basis(2))

@@ -62,20 +62,19 @@ def test_cup_divisor():
 
 
 def test_divisor_matrix_bezout_shape():
-    z = parse_class(P1xP3, "3*x1 + 4*x2")
-    # z * x1 = 4*x1*x2 and z * x2 = 3*x1*x2 + 4*x2^2
-    assert _divisor_columns(P1xP3, z, 2) == ((4, 0), (3, 4))
-    assert _divisor_columns(P1xP3, z, 1) == ((3, 4),)
-    zero = ChowClass(P1xP3, 1, {})
-    assert _divisor_columns(P1xP3, zero, 2) == ((0, 0), (0, 0))
+    # z = 3*x1 + 4*x2: z * x1 = 4*x1*x2 and z * x2 = 3*x1*x2 + 4*x2^2
+    assert _divisor_columns(P1xP3, (3, 4), 2) == ((4, 0), (3, 4))
+    assert _divisor_columns(P1xP3, (3, 4), 1) == ((3, 4),)
+    assert _divisor_columns(P1xP3, (0, 0), 2) == ((0, 0), (0, 0))
 
 
 def test_divisor_matrix_agrees_with_cup():
     rng = random.Random(61)
     for ambient in (P1xP3, P4, AmbientSpace((2, 2))):
-        z = random_class(rng, ambient, 1)
+        w = random_class(rng, ambient, 1).coords()
+        z = ChowClass.from_coords(ambient, 1, w)
         for j in range(1, ambient.total_dim + 1):
-            columns = _divisor_columns(ambient, z, j)
+            columns = _divisor_columns(ambient, w, j)
             mat = IntegerMatrix(zip(*columns), cols=len(columns))
             for _ in range(5):
                 alpha = random_class(rng, ambient, j - 1)
@@ -87,8 +86,8 @@ def test_divisor_matrix_matches_cup_columns():
     # the slow path: one cup product per degree-(j-1) basis monomial, on
     # every ambient with at most 4 factors and total dimension at most 6, in
     # every degree from 0 to two past the top; each term c*x_i of z bumps
-    # one exponent of m.  z runs over seeded classes and over hypersurface
-    # classes with zero components, z = 0 among them
+    # one exponent of m.  z's weight vector runs over seeded ones and over
+    # multidegrees with zero components, z = 0 among them
     rng = random.Random(83)
     ambients = [
         AmbientSpace(dims)
@@ -101,14 +100,15 @@ def test_divisor_matrix_matches_cup_columns():
         k = ambient.k
         basis = ambient.monomial_basis(1)
         multidegrees = {(0,) * k, tuple(range(k)), tuple((3 * i + 2) % 5 for i in range(k))}
-        zs = [ChowClass(ambient, 1, {e: rng.randint(-6, 6) for e in basis}) for _ in range(20)]
-        zs += [ComplementModel(ambient, degrees).z_class for degrees in multidegrees]
-        for z in zs:
+        weights = [tuple(rng.randint(-6, 6) for _ in basis) for _ in range(20)]
+        weights += [ComplementModel(ambient, degrees).multidegree for degrees in multidegrees]
+        for w in weights:
+            z = ChowClass.from_coords(ambient, 1, w)
             for j in range(ambient.total_dim + 3):
                 columns = [
                     cup(z, ChowClass(ambient, j - 1, {m: 1})).coords() for m in ambient.monomial_basis(j - 1)
                 ]
-                assert _divisor_columns(ambient, z, j) == tuple(columns), (ambient, z, j)
+                assert _divisor_columns(ambient, w, j) == tuple(columns), (ambient, w, j)
 
 
 def test_cup_ring_laws():

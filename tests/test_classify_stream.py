@@ -178,14 +178,15 @@ def test_rows_are_constant_under_twist_and_dual():
 # The b1*b2 products of a degree-1 with a degree-2 basis monomial from one
 # _divisor_columns call per degree-1 monomial, per sweep; Sq^2 of the b2
 # degree-2 basis monomials is XORed from those products, with no sq2 call,
-# and obstruction imports no cup
+# and obstruction imports no cup.  Every divisor, z and each x_i, is passed
+# as its weight vector, so no class is built
 BASIS_PRODUCTS = {(4,): {"divisor_columns": 1}, (1, 3): {"divisor_columns": 2}}
 
 
 def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
     # theta is bilinear in the parities of (c1, c2), so a sweep computes the
     # basis products once and never evaluates theta on a lift, builds a lift
-    # or pairs one up
+    # or pairs one up; decide on a built pair builds one class, theta
     calls = Counter()
 
     def counting(name, f):
@@ -204,6 +205,8 @@ def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
     monkeypatch.setattr(ChowClass, "from_coords", classmethod(counting("lift", from_coords)))
     monkeypatch.setattr(obstruction.ChernPair, "__post_init__",
                         counting("pair", obstruction.ChernPair.__post_init__))
+    monkeypatch.setattr(ChowClass, "__init__", counting("class", ChowClass.__init__))
+    monkeypatch.setattr(ChowClass, "_trusted", classmethod(counting("class", ChowClass._trusted.__func__)))
     for dims, degrees, assumption in SWEEPS:
         model = ComplementModel(AmbientSpace(dims), degrees)
         calls.clear()
@@ -213,6 +216,12 @@ def test_sweep_reads_theta_off_the_basis_products(monkeypatch):
         code, _ = run_classify(monkeypatch, *_argv(dims, degrees, assumption), "--json")
         assert code == 0
         assert calls == BASIS_PRODUCTS[dims], (dims, degrees, assumption)
+        ambient = model.ambient
+        pair = obstruction.ChernPair(ChowClass(ambient, 1, {ambient.monomial_basis(1)[-1]: 1}),
+                                     ChowClass(ambient, 2, {ambient.monomial_basis(2)[0]: 3}))
+        calls.clear()
+        obstruction.decide(model, pair, ASSUMPTIONS[assumption])
+        assert calls == {"theta": 1, "class": 1}, (dims, degrees, assumption)
 
 
 def test_sweep_runs_no_smith_elimination(monkeypatch):

@@ -20,8 +20,9 @@ were still listed one coordinate-sum level at a time; the six before them, of la
 shapes, while the sweep still built each coset's label and parity mask in
 two passes; the six of coset runs while the sweep still labelled one
 coset at a time; the last four, of near-square boxes, while the square
-CH^2 boxes of P^1 x P^3 were still labelled one coset at a time.  A
-refactor that
+CH^2 boxes of P^1 x P^3 were still labelled one coset at a time; the
+``complement`` entry with a zero weight while the lower bound z*CH^{j-1}
+still took z as a ``ChowClass``.  A refactor that
 changes any verdict, justification, class string, JSON key order or row order
 changes a hash here.
 
@@ -116,6 +117,8 @@ _BASE_COMMANDS = (
     # sizes 10 and 12
     ("classify", "--ambient", "1,3", "--degree", "12,10", "--assumption", "naive"),
     ("classify", "--ambient", "1,3", "--degree", "10,12", "--assumption", "even-degree"),
+    # a zero weight in the multidegree on a three-factor ambient
+    ("complement", "--ambient", "1,1,2", "--degree", "2,0,3", "--j", "3"),
 )
 
 # Every command in text and in --json.
@@ -241,6 +244,8 @@ GOLDEN = (
     (0, "1e0e15e18c97814d3aa892f7f072a5e5447c8aaa7c33c8f6de86cdb06862d100"),
     (0, "401eac7b29a07bb4685f8d5785972f1b902d026fb62c20d8f67263451d7ffa15"),
     (0, "bd12bb4d99faff3d2e67b51533c80cd71f1f1cdb5a11824c7531056f34217816"),
+    (0, "32281fdaf3fa3e9985c5b7c0de8a7b381c4d19df4a8c3a5369be2e807c7b8f61"),
+    (0, "1f67fda81295dae4a39221cfdb5185e42ffa283e81b7599fc34df3a7a8ec25a4"),
 )
 
 

@@ -260,7 +260,7 @@ def test_sq2_descends_on_models():
             twos = [[2 * int(i == j) for j in range(n)] for i in range(n)]
             h = hermite_normal_form(IntegerMatrix(rows + twos, cols=n))
             # the c1 side: theta moves by z*c2, so lifting c1 by a multiple of z changes nothing
-            z = model.z_class.coords()
+            z = model.multidegree
             for _ in range(4):
                 c1 = [rng.randint(-3, 3) for _ in z]
                 c2 = ChowClass.from_coords(
@@ -676,7 +676,7 @@ def _flipping_lifts(model, assumption, pairs):
         return [x + y for x, y in zip(a, b)]
 
     shifts = dict(zip(LIFTS, (
-        [model.z_class.coords()],
+        [model.multidegree],
         complement_group(model, 1, NAIVE).relations.entries,
         complement_group(model, 2, NAIVE).relations.entries,
     )))

@@ -132,11 +132,11 @@ def test_one_pass_theta_matches_the_slow_path_and_the_oracle():
 def test_squares_are_xors_of_the_divisor_products():
     # Sq^2(m) = w(m)*m: on every degree-2 basis monomial m, the XOR of the
     # masks of x_i*m over the i with m[i] odd, each read off the divisor
-    # columns of x_i as the parity table reads them, is Sq^2(m)
+    # columns of x_i's unit weight vector as the parity table reads them, is
+    # Sq^2(m)
     for ambient in THETA_AMBIENTS:
         basis1 = ambient.monomial_basis(1)
-        products = [[_gf2_mask(col) for col in _divisor_columns(ambient, ChowClass(ambient, 1, {e: 1}), 3)]
-                    for e in basis1]
+        products = [[_gf2_mask(col) for col in _divisor_columns(ambient, e, 3)] for e in basis1]
         for j, m in enumerate(ambient.monomial_basis(2)):
             square = 0
             for i, a in enumerate(m):
